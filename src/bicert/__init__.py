@@ -13,7 +13,6 @@ from .certificates import (
     canonicalize_bipartition,
     check_path_parity,
     flip_component,
-    merge_bipartitions,
     verify_bipartition,
     verify_odd_cycle,
     verify_outcome,
@@ -52,21 +51,17 @@ from .generators import (
 )
 from .graph import (
     ComponentLabeling,
-    Edge,
     Graph,
     Path,
     build_graph,
     connected_components,
     find_path,
-    induced_subgraph,
     simplify,
 )
 from .oracle import (
-    OracleVerdict,
     brute_force_bipartite,
     count_proper_2colorings,
     find_odd_cycle_exhaustive,
-    oracle_verdict,
 )
 
 __version__ = "0.1.0"
@@ -77,13 +72,11 @@ __all__ = [
     "CheckOutcome",
     "ComponentLabeling",
     "CyclicGraphError",
-    "Edge",
     "GenSpec",
     "Graph",
     "InputError",
     "InternalInvariantError",
     "OddCycle",
-    "OracleVerdict",
     "ParseError",
     "Path",
     "SplitMix64",
@@ -106,10 +99,7 @@ __all__ = [
     "gen_planted_odd_cycle",
     "gen_random",
     "generate",
-    "induced_subgraph",
     "leaf_peel_two_color",
-    "merge_bipartitions",
-    "oracle_verdict",
     "parse_dimacs",
     "parse_edge_list",
     "run_instrumented",

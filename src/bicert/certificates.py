@@ -128,38 +128,6 @@ def flip_component(bp: Bipartition, component: Iterable[int]) -> Bipartition:
     return Bipartition(side)
 
 
-def merge_bipartitions(
-    labeling: ComponentLabeling,
-    parts: list[Bipartition],
-    back_maps: list[list[int]],
-) -> Bipartition:
-    """Combine per-component assignments into one global assignment.
-
-    ``parts[i]`` colors the i-th component in its local ids;
-    ``back_maps[i]`` translates local to global ids.  Every component must
-    be present and every vertex covered.
-    """
-    if len(parts) != labeling.k or len(back_maps) != labeling.k:
-        raise InputError(
-            f"expected {labeling.k} components, got {len(parts)} parts"
-            f" and {len(back_maps)} back maps"
-        )
-    n = len(labeling.component_of)
-    side: list[int | None] = [None] * n
-    for part, back in zip(parts, back_maps):
-        if len(part.side) != len(back):
-            raise InputError("component assignment and back map sizes differ")
-        for local, s in enumerate(part.side):
-            old = back[local]
-            if not (0 <= old < n):
-                raise InputError(f"back map target {old} out of range")
-            side[old] = s
-    if any(s is None for s in side):
-        missing = side.index(None)
-        raise InputError(f"vertex {missing} not covered by any component")
-    return Bipartition(side)  # type: ignore[arg-type]
-
-
 def check_path_parity(bp: Bipartition, path: Path) -> bool:
     """True iff sides strictly alternate along ``path``.
 

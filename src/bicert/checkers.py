@@ -13,9 +13,9 @@ takes a genuinely different route:
   re-examines the leftover edges; a clash yields the fundamental cycle.
 
 All four process edges (and seed vertices) in id order, so their output is a
-pure function of the input graph.  Loops are certified in a pre-pass as
-length-1 odd cycles before any other work.  ``check`` dispatches by name and
-re-verifies the result before returning it.
+pure function of the input graph.  ``run_instrumented`` certifies loops in
+a pre-pass as length-1 odd cycles before any checker runs.  ``check``
+dispatches by name and re-verifies the result before returning it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .certificates import (
     verify_outcome,
 )
 from .errors import CyclicGraphError, InputError, InternalInvariantError
-from .graph import Graph, build_graph, find_path
+from .graph import Graph, bfs_path, build_graph, find_path
 
 ALGORITHM_NAMES = ("growth", "flip", "dsu", "forest")
 
@@ -42,43 +42,20 @@ def _loop_certificate(g: Graph) -> OddCycle | None:
     return None
 
 
-def _path_in_subgraph(
-    adj: list[list[tuple[int, int]]], a: int, b: int
-) -> tuple[list[int], list[int]]:
-    """BFS path a..b over a private adjacency structure, ascending-scan order.
-
-    Caller guarantees reachability.
-    """
-    if a == b:
-        return [a], []
-    parent: dict[int, tuple[int, int]] = {a: (-1, -1)}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        for nbr, eid in sorted(adj[x]):
-            if nbr in parent:
-                continue
-            parent[nbr] = (x, eid)
-            if nbr == b:
-                verts = [b]
-                eids = []
-                cur = b
-                while cur != a:
-                    prev, via = parent[cur]
-                    eids.append(via)
-                    verts.append(prev)
-                    cur = prev
-                verts.reverse()
-                eids.reverse()
-                return verts, eids
-            queue.append(nbr)
-    raise InternalInvariantError("certificate endpoints not connected")
+def _closed_by(g: Graph, kept: list[int], a: int, b: int, eid: int) -> CheckOutcome:
+    """Odd cycle: the even a..b path over the ``kept`` edge ids, then edge ``eid``."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for k in kept:
+        u, v = g.pairs[k]
+        adj[u].append((v, k))
+        adj[v].append((u, k))
+    path = bfs_path(adj, None, a, b)
+    if path is None:
+        raise InternalInvariantError("certificate endpoints not connected")
+    return CheckOutcome(odd_cycle=OddCycle(path.vertices, path.edge_ids + [eid]))
 
 
 def _growth(g: Graph) -> tuple[CheckOutcome, int]:
-    loop = _loop_certificate(g)
-    if loop is not None:
-        return CheckOutcome(odd_cycle=loop), 0
     n = g.n
     adj = g.adj
     side = [0] * n
@@ -123,9 +100,6 @@ def _growth(g: Graph) -> tuple[CheckOutcome, int]:
 
 
 def _incremental_flip(g: Graph) -> tuple[CheckOutcome, int]:
-    loop = _loop_certificate(g)
-    if loop is not None:
-        return CheckOutcome(odd_cycle=loop), 0
     n = g.n
     side = bytearray(n)
     comp_id = list(range(n))
@@ -147,13 +121,7 @@ def _incremental_flip(g: Graph) -> tuple[CheckOutcome, int]:
             continue
         if ca == cb:
             # same side inside one component: even path + this edge
-            acc_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-            for kept in accepted:
-                u, v = g.pairs[kept]
-                acc_adj[u].append((v, kept))
-                acc_adj[v].append((u, kept))
-            verts, eids = _path_in_subgraph(acc_adj, a, b)
-            return CheckOutcome(odd_cycle=OddCycle(verts, eids + [eid])), flips
+            return _closed_by(g, accepted, a, b, eid), flips
         # same side, distinct components: flip the smaller, ties toward a
         small, big = (ca, cb) if len(members[ca]) <= len(members[cb]) else (cb, ca)
         for v in members[small]:
@@ -167,9 +135,6 @@ def _incremental_flip(g: Graph) -> tuple[CheckOutcome, int]:
 
 
 def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
-    loop = _loop_certificate(g)
-    if loop is not None:
-        return CheckOutcome(odd_cycle=loop), 0
     n = g.n
     parent = list(range(n))
     rank = bytearray(n)
@@ -227,13 +192,7 @@ def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
                 rank[ra] += 1
         elif pa == pb:
             # the forest path a..b has even length; this edge closes it
-            forest_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-            for kept in forest:
-                u, v = g.pairs[kept]
-                forest_adj[u].append((v, kept))
-                forest_adj[v].append((u, kept))
-            verts, eids = _path_in_subgraph(forest_adj, a, b)
-            return CheckOutcome(odd_cycle=OddCycle(verts, eids + [eid])), unions
+            return _closed_by(g, forest, a, b, eid), unions
     side = bytearray(n)
     for v in range(n):
         rv = v
@@ -292,9 +251,6 @@ def leaf_peel_two_color(g: Graph) -> Bipartition:
 
 
 def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
-    loop = _loop_certificate(g)
-    if loop is not None:
-        return CheckOutcome(odd_cycle=loop), 0
     n = g.n
     adj = g.adj
     visited = bytearray(n)
@@ -321,34 +277,28 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
             continue
         examined += 1
         if side[a] == side[b]:
-            forest_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-            for kept in forest_eids:
-                u, v = g.pairs[kept]
-                forest_adj[u].append((v, kept))
-                forest_adj[v].append((u, kept))
-            verts, eids = _path_in_subgraph(forest_adj, a, b)
-            return CheckOutcome(odd_cycle=OddCycle(verts, eids + [eid])), examined
+            return _closed_by(g, forest_eids, a, b, eid), examined
     return CheckOutcome(bipartition=Bipartition(side)), examined
 
 
 def check_growth_induced(g: Graph) -> CheckOutcome:
     """Grow a two-colored induced subgraph until it spans or clashes."""
-    return _growth(g)[0]
+    return run_instrumented(g, "growth")[0]
 
 
 def check_incremental_flip(g: Graph) -> CheckOutcome:
     """Insert edges in id order, flipping smaller components to repair sides."""
-    return _incremental_flip(g)[0]
+    return run_instrumented(g, "flip")[0]
 
 
 def check_dsu_parity(g: Graph) -> CheckOutcome:
     """Union-find with side parity; certificates come from the union forest."""
-    return _dsu_parity(g)[0]
+    return run_instrumented(g, "dsu")[0]
 
 
 def check_forest_recolor(g: Graph) -> CheckOutcome:
     """Color a spanning forest, then test every non-forest edge against it."""
-    return _forest_recolor(g)[0]
+    return run_instrumented(g, "forest")[0]
 
 
 _CHECKERS = {
@@ -363,8 +313,9 @@ def run_instrumented(g: Graph, algorithm: str) -> tuple[CheckOutcome, int]:
     """Run one checker, returning its outcome and an operation counter.
 
     Counters: growth counts vertices absorbed, flip counts component flips,
-    dsu counts unions, forest counts non-forest edges examined.  No
-    verification happens here; callers that need the self-certifying
+    dsu counts unions, forest counts non-forest edges examined.  A loop is
+    certified by the pre-pass here, before the checker runs, with counter 0.
+    No verification happens here; callers that need the self-certifying
     contract use ``check``.
     """
     try:
@@ -373,6 +324,9 @@ def run_instrumented(g: Graph, algorithm: str) -> tuple[CheckOutcome, int]:
         raise InputError(
             f"unknown algorithm {algorithm!r}; expected one of {ALGORITHM_NAMES}"
         ) from None
+    loop = _loop_certificate(g)
+    if loop is not None:
+        return CheckOutcome(odd_cycle=loop), 0
     return fn(g)
 
 

@@ -1,8 +1,8 @@
 """Command line entry points: check, gen, bench.
 
-Exit codes: 0 bipartite, 1 odd cycle found, 2 usage or parse error,
-3 internal invariant failure (a certificate failed its own verifier, or
-the algorithms disagreed).
+Exit codes: 0 bipartite, 1 odd cycle found, 2 usage, input or parse error,
+3 internal failure (a certificate failed its own verifier, the algorithms
+disagreed, or any other unexpected exception: a bug in bicert).
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ import csv
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
 from .certificates import CheckOutcome, verify_outcome
 from .checkers import ALGORITHM_NAMES, run_instrumented
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, ParseError
 from .formats import parse_dimacs, parse_edge_list, write_dimacs, write_dot, write_edge_list
 from .generators import GenSpec, generate
 from .graph import Graph
@@ -104,12 +105,33 @@ class BenchRow:
                 self.rep, self.verdict, self.elapsed_ns, self.ops_counter]
 
 
-def _timed_run(g: Graph, algorithm: str) -> tuple[CheckOutcome, int, int]:
-    """Outcome, ops counter, and wall nanoseconds around the checker only."""
-    t0 = time.perf_counter_ns()
-    outcome, ops = run_instrumented(g, algorithm)
-    elapsed = time.perf_counter_ns() - t0
-    return outcome, ops, elapsed
+def _certified_runs(
+    g: Graph, algorithms: tuple[str, ...]
+) -> list[tuple[CheckOutcome, int, int]]:
+    """Run and verify each checker; the verdicts must agree.
+
+    Returns, per algorithm, its outcome, ops counter and wall nanoseconds
+    around the checker only.  Raises InternalInvariantError when a
+    certificate fails its verifier or the algorithms disagree.
+    """
+    runs = []
+    for name in algorithms:
+        t0 = time.perf_counter_ns()
+        outcome, ops = run_instrumented(g, name)
+        elapsed = time.perf_counter_ns() - t0
+        if not verify_outcome(g, outcome):
+            raise InternalInvariantError(
+                f"checker {name!r} returned a certificate its verifier rejects"
+            )
+        runs.append((outcome, ops, elapsed))
+    if len({outcome.branch for outcome, _, _ in runs}) > 1:
+        raise InternalInvariantError(
+            "algorithms disagree: " + ", ".join(
+                f"{name}={outcome.branch}"
+                for name, (outcome, _, _) in zip(algorithms, runs)
+            )
+        )
+    return runs
 
 
 def _report(g: Graph, algorithm: str, outcome: CheckOutcome, elapsed: int) -> ResultReport:
@@ -121,32 +143,24 @@ def _report(g: Graph, algorithm: str, outcome: CheckOutcome, elapsed: int) -> Re
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    text = Path(args.file).read_text()
+    try:
+        text = Path(args.file).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.file} is not UTF-8 text: {exc}") from None
     g = _PARSERS[args.format](text)
     algos = ALGORITHM_NAMES if args.algo == "all" else (args.algo,)
-    reports: list[ResultReport] = []
-    outcomes: list[CheckOutcome] = []
-    for name in algos:
-        outcome, _, elapsed = _timed_run(g, name)
-        if not verify_outcome(g, outcome):
-            raise InternalInvariantError(
-                f"checker {name!r} returned a certificate its verifier rejects"
-            )
-        outcomes.append(outcome)
-        reports.append(_report(g, name, outcome, elapsed))
-    if len({o.branch for o in outcomes}) > 1:
-        raise InternalInvariantError(
-            "algorithms disagree: " +
-            ", ".join(f"{r.algorithm}={r.verdict}" for r in reports)
-        )
+    runs = _certified_runs(g, algos)
+    reports = [_report(g, name, outcome, elapsed)
+               for name, (outcome, _, elapsed) in zip(algos, runs)]
+    first = runs[0][0]
     if args.dot:
-        Path(args.dot).write_text(write_dot(g, outcomes[0]))
+        Path(args.dot).write_text(write_dot(g, first))
     if args.json:
         print(json.dumps([r.to_dict(args.timing) for r in reports], indent=2))
     else:
         for r in reports:
             print(r.render(args.timing))
-    return EXIT_BIPARTITE if outcomes[0].is_bipartite else EXIT_ODD_CYCLE
+    return EXIT_BIPARTITE if first.is_bipartite else EXIT_ODD_CYCLE
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -211,26 +225,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for n, m in sizes:
             for seed in args.seeds:
                 g = generate(_bench_spec(kind, n, m, seed, args.cycle_len))
-                group_verdicts: set[str] = set()
                 for rep in range(args.repeat):
-                    for algorithm in ALGORITHM_NAMES:
-                        outcome, ops, elapsed = _timed_run(g, algorithm)
-                        if not verify_outcome(g, outcome):
-                            print(
-                                f"internal error: {algorithm} certificate rejected",
-                                file=sys.stderr,
-                            )
-                            return emit_and_exit(EXIT_INTERNAL)
-                        group_verdicts.add(outcome.branch)
+                    try:
+                        runs = _certified_runs(g, ALGORITHM_NAMES)
+                    except InternalInvariantError as exc:
+                        print(f"internal error: {exc} on kind={kind}"
+                              f" n={g.n} m={g.m} seed={seed}", file=sys.stderr)
+                        return emit_and_exit(EXIT_INTERNAL)
+                    for algorithm, (outcome, ops, elapsed) in zip(ALGORITHM_NAMES, runs):
                         rows.append(BenchRow(algorithm, kind, g.n, g.m, seed,
                                              rep, outcome.branch, elapsed, ops))
-                if len(group_verdicts) > 1:
-                    print(
-                        f"internal error: algorithms disagree on kind={kind}"
-                        f" n={g.n} m={g.m} seed={seed}",
-                        file=sys.stderr,
-                    )
-                    return emit_and_exit(EXIT_INTERNAL)
     return emit_and_exit(EXIT_BIPARTITE)
 
 
@@ -293,6 +297,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug in bicert; exits 0 and 1 are verdicts
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -9,19 +9,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Container, Iterable, NamedTuple
 
 from .errors import InputError
-
-
-class Edge(NamedTuple):
-    id: int
-    u: int
-    v: int
-
-    @property
-    def is_loop(self) -> bool:
-        return self.u == self.v
 
 
 class Graph:
@@ -56,14 +46,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.pairs)
-
-    def edge(self, eid: int) -> Edge:
-        u, v = self.pairs[eid]
-        return Edge(eid, u, v)
-
-    def edges(self) -> Iterator[Edge]:
-        for eid, (u, v) in enumerate(self.pairs):
-            yield Edge(eid, u, v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -140,30 +122,6 @@ def connected_components(g: Graph) -> ComponentLabeling:
     return ComponentLabeling(label, k)
 
 
-class InducedResult(NamedTuple):
-    graph: Graph
-    back_map: list[int]
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> InducedResult:
-    """Subgraph induced by a vertex set, with new dense ids.
-
-    ``back_map[new_id] = old_id``; new ids follow ascending old ids.  Edges
-    with both endpoints inside survive, renumbered in original id order.
-    """
-    chosen = sorted(set(vertices))
-    for v in chosen:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range for n={g.n}")
-    new_id = {old: new for new, old in enumerate(chosen)}
-    pairs = [
-        (new_id[u], new_id[v])
-        for u, v in g.pairs
-        if u in new_id and v in new_id
-    ]
-    return InducedResult(Graph(len(chosen), pairs), chosen)
-
-
 @dataclass
 class Path:
     """A simple path: ``vertices[i]`` joined to ``vertices[i+1]`` by ``edge_ids[i]``."""
@@ -187,14 +145,26 @@ def find_path(g: Graph, allowed: Iterable[int], a: int, b: int) -> Path | None:
     allowed_set = allowed if isinstance(allowed, (set, frozenset)) else set(allowed)
     if a not in allowed_set or b not in allowed_set:
         raise InputError("path endpoints must belong to the allowed set")
+    return bfs_path(g.adj, allowed_set, a, b)
+
+
+def bfs_path(
+    adj: list[list[tuple[int, int]]], allowed: Container[int] | None, a: int, b: int
+) -> Path | None:
+    """``find_path`` over any ``(neighbor, edge_id)`` adjacency lists.
+
+    Lets a caller search a subgraph given by a subset of edge ids without
+    building a Graph for it.  ``allowed`` must contain ``a`` and ``b``;
+    None allows every vertex and skips the per-neighbor membership test.
+    """
     if a == b:
         return Path([a], [])
     parent: dict[int, tuple[int, int]] = {a: (-1, -1)}
     queue = deque([a])
     while queue:
         x = queue.popleft()
-        for nbr, eid in sorted(g.adj[x]):
-            if nbr in parent or nbr not in allowed_set:
+        for nbr, eid in sorted(adj[x]):
+            if nbr in parent or (allowed is not None and nbr not in allowed):
                 continue
             parent[nbr] = (x, eid)
             if nbr == b:

@@ -7,8 +7,6 @@ enumeration at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .certificates import Bipartition, OddCycle
@@ -109,27 +107,3 @@ def find_odd_cycle_exhaustive(g: Graph) -> OddCycle | None:
         if found is not None:
             return found
     return None
-
-
-@dataclass(frozen=True)
-class OracleVerdict:
-    """Combined exhaustive answer; exactly one certificate is present."""
-
-    bipartition: Bipartition | None
-    odd_cycle: OddCycle | None
-    coloring_count: int
-
-    @property
-    def branch(self) -> str:
-        return "bipartite" if self.bipartition is not None else "odd_cycle"
-
-
-def oracle_verdict(g: Graph) -> OracleVerdict:
-    """Full verdict for graphs small enough for both enumerations."""
-    _guard(g, MAX_CYCLE_SEARCH_VERTICES, "combined oracle")
-    bp = brute_force_bipartite(g)
-    cyc = None if bp is not None else find_odd_cycle_exhaustive(g)
-    count = count_proper_2colorings(g)
-    if bp is not None and count == 0:
-        raise InputError("inconsistent enumeration results")  # unreachable
-    return OracleVerdict(bp, cyc, count)

@@ -17,7 +17,6 @@ from bicert import (
     check_path_parity,
     connected_components,
     flip_component,
-    merge_bipartitions,
     verify_bipartition,
     verify_odd_cycle,
 )
@@ -125,35 +124,6 @@ class TestFlipComponent:
         ok_before = verify_bipartition(g, bp)
         ok_after = verify_bipartition(g, flip_component(bp, union))
         assert ok_before == ok_after
-
-
-class TestMergeBipartitions:
-    def test_two_components(self):
-        g = build_graph(4, [(0, 1), (2, 3)])
-        lab = connected_components(g)
-        merged = merge_bipartitions(
-            lab,
-            [Bipartition([0, 1]), Bipartition([1, 0])],
-            [[0, 1], [2, 3]],
-        )
-        assert merged.side == [0, 1, 1, 0]
-        assert verify_bipartition(g, merged)
-
-    def test_empty_graph(self):
-        lab = connected_components(build_graph(0, []))
-        assert merge_bipartitions(lab, [], []).side == []
-
-    def test_missing_component(self):
-        lab = connected_components(build_graph(4, [(0, 1), (2, 3)]))
-        with pytest.raises(InputError):
-            merge_bipartitions(lab, [Bipartition([0, 1])], [[0, 1]])
-
-    def test_uncovered_vertex(self):
-        lab = connected_components(build_graph(2, []))
-        with pytest.raises(InputError):
-            merge_bipartitions(
-                lab, [Bipartition([0]), Bipartition([0])], [[0], [0]]
-            )
 
 
 class TestCheckPathParity:

@@ -59,6 +59,8 @@ class TestCommonBehavior:
         out = ALL_CHECKERS[name](g)
         assert out.odd_cycle.vertices == [2]
         assert out.odd_cycle.edge_ids == [2]
+        # the pre-pass runs before the checker, so no work is counted
+        assert run_instrumented(g, name) == (out, 0)
 
     def test_four_cycle_canonical_sides(self, name):
         out = ALL_CHECKERS[name](four_cycle())

@@ -64,6 +64,20 @@ class TestCheckExitCodes:
         assert cli.main(["check", odd_file, "--algo", "growth"]) == 3
         assert "internal error:" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_two(self, tmp_path, capsys):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"0 1\n\xff\xfe 2\n")
+        assert cli.main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unexpected_exception_is_three(self, even_file, capsys, monkeypatch):
+        def crash(g, algorithm):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(cli, "run_instrumented", crash)
+        assert cli.main(["check", even_file]) == 3
+        assert "internal error: ZeroDivisionError: boom" in capsys.readouterr().err
+
     def test_disagreement_is_three(self, even_file, capsys, monkeypatch):
         flip_flop = iter(range(100))
 
@@ -231,6 +245,25 @@ class TestBench:
         verdicts = {r[1]: r[6] for r in rows[1:]}
         assert verdicts["planted_bipartite"] == "bipartite"
         assert verdicts["planted_odd_cycle"] == "odd_cycle"
+
+    @pytest.mark.parametrize("fault", ["rejected", "disagree"])
+    def test_internal_error_is_three(self, fault, capsys, monkeypatch):
+        answers = iter(range(100))
+
+        def faulty(g, algorithm):
+            if fault == "disagree" and next(answers) % 2:
+                return CheckOutcome(odd_cycle=OddCycle([0], [0])), 0
+            return CheckOutcome(bipartition=Bipartition([0] * g.n)), 0
+
+        monkeypatch.setattr(cli, "run_instrumented", faulty)
+        if fault == "disagree":
+            monkeypatch.setattr(cli, "verify_outcome", lambda g, o: True)
+        code = cli.main(["bench", "--kinds", "random", "--sizes", "8,12",
+                         "--seeds", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "internal error:" in captured.err
+        assert captured.out.splitlines()[0] == ",".join(cli.BENCH_CSV_HEADER)
 
     def test_malformed_size_is_usage_error(self, capsys):
         assert cli.main(["bench", "--kinds", "random", "--sizes", "8",

@@ -10,7 +10,6 @@ from bicert import (
     build_graph,
     connected_components,
     find_path,
-    induced_subgraph,
     simplify,
 )
 from conftest import four_cycle, graphs, triangle
@@ -29,7 +28,6 @@ class TestBuildGraph:
 
     def test_parallel_edges_have_distinct_ids(self):
         g = build_graph(2, [(0, 1), (0, 1)])
-        assert [e.id for e in g.edges()] == [0, 1]
         assert g.adj[0] == [(1, 0), (1, 1)]
 
     def test_endpoint_out_of_range_names_pair(self):
@@ -43,12 +41,6 @@ class TestBuildGraph:
     def test_empty_graph(self):
         g = build_graph(0, [])
         assert g.n == 0 and g.m == 0
-
-    def test_edge_accessor(self):
-        e = triangle().edge(2)
-        assert (e.id, e.u, e.v) == (2, 2, 0)
-        assert not e.is_loop
-        assert build_graph(1, [(0, 0)]).edge(0).is_loop
 
     @given(graphs())
     def test_adjacency_length_sum(self, g):
@@ -101,33 +93,6 @@ class TestConnectedComponents:
         g = build_graph(2, [(0, 0), (0, 1), (0, 1)])
         lab = connected_components(g)
         assert lab.k == 1
-
-
-class TestInducedSubgraph:
-    def test_triangle_minus_vertex(self):
-        g = triangle()
-        sub, back = induced_subgraph(g, [0, 1])
-        assert back == [0, 1]
-        assert sub.pairs == [(0, 1)]
-
-    def test_renumbering(self):
-        g = build_graph(6, [(2, 5), (5, 4), (0, 1)])
-        sub, back = induced_subgraph(g, [5, 2, 4])
-        assert back == [2, 4, 5]
-        assert sub.pairs == [(0, 2), (2, 1)]
-
-    def test_keeps_loops_and_parallels(self):
-        g = build_graph(3, [(1, 1), (1, 2), (2, 1)])
-        sub, back = induced_subgraph(g, [1, 2])
-        assert sub.pairs == [(0, 0), (0, 1), (1, 0)]
-
-    def test_out_of_range_vertex(self):
-        with pytest.raises(InputError):
-            induced_subgraph(triangle(), [0, 9])
-
-    def test_empty_selection(self):
-        sub, back = induced_subgraph(triangle(), [])
-        assert sub.n == 0 and back == []
 
 
 class TestFindPath:

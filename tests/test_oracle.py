@@ -11,7 +11,6 @@ from bicert import (
     connected_components,
     count_proper_2colorings,
     find_odd_cycle_exhaustive,
-    oracle_verdict,
     verify_bipartition,
     verify_odd_cycle,
 )
@@ -104,16 +103,3 @@ class TestCycleEnumeration:
         with pytest.raises(InputError):
             find_odd_cycle_exhaustive(build_graph(13, []))
 
-
-class TestOracleVerdict:
-    def test_exactly_one_certificate(self):
-        for g in (triangle(), four_cycle(), build_graph(5, [(2, 2)])):
-            verdict = oracle_verdict(g)
-            assert (verdict.bipartition is None) != (verdict.odd_cycle is None)
-            assert (verdict.coloring_count > 0) == (verdict.bipartition is not None)
-
-    def test_certificates_verify(self):
-        v_odd = oracle_verdict(triangle())
-        assert verify_odd_cycle(triangle(), v_odd.odd_cycle)
-        v_bip = oracle_verdict(four_cycle())
-        assert verify_bipartition(four_cycle(), v_bip.bipartition)
