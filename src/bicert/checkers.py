@@ -10,18 +10,22 @@ takes a genuinely different route:
 * ``check_dsu_parity``       tracks side parity between every vertex and its
   union-find root; an edge joining same-parity vertices in one tree is odd.
 * ``check_forest_recolor``   colors a spanning forest by peeling leaves, then
-  re-examines the leftover edges; a clash yields the fundamental cycle.
+  re-examines the leftover edges; a clash yields the fundamental cycle, the
+  tree path read off the forest's BFS parents plus the clashing edge.
 
 All four process edges (and seed vertices) in id order, so their output is a
 pure function of the input graph.  ``run_instrumented`` certifies loops in
 a pre-pass as length-1 odd cycles before any checker runs.  ``check``
 dispatches by name and re-verifies the result before returning it.
+Certificate extraction searches only the region it needs: flip and dsu run
+a masked BFS over the graph's own adjacency, forest walks tree parents.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from typing import Iterable
 
 from .certificates import (
     Bipartition,
@@ -30,7 +34,7 @@ from .certificates import (
     verify_outcome,
 )
 from .errors import CyclicGraphError, InputError, InternalInvariantError
-from .graph import Graph, bfs_path, build_graph, find_path
+from .graph import Graph, bfs_path
 
 ALGORITHM_NAMES = ("growth", "flip", "dsu", "forest")
 
@@ -42,14 +46,9 @@ def _loop_certificate(g: Graph) -> OddCycle | None:
     return None
 
 
-def _closed_by(g: Graph, kept: list[int], a: int, b: int, eid: int) -> CheckOutcome:
-    """Odd cycle: the even a..b path over the ``kept`` edge ids, then edge ``eid``."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for k in kept:
-        u, v = g.pairs[k]
-        adj[u].append((v, k))
-        adj[v].append((u, k))
-    path = bfs_path(adj, None, a, b)
+def _closed_by(g: Graph, kept: bytes | bytearray, a: int, b: int, eid: int) -> CheckOutcome:
+    """Odd cycle: the even a..b path over edges with ``kept[id]`` set, then edge ``eid``."""
+    path = bfs_path(g.adj, a, b, edge_ok=kept)
     if path is None:
         raise InternalInvariantError("certificate endpoints not connected")
     return CheckOutcome(odd_cycle=OddCycle(path.vertices, path.edge_ids + [eid]))
@@ -83,8 +82,7 @@ def _growth(g: Graph) -> tuple[CheckOutcome, int]:
             if first_zero is not None and first_one is not None:
                 x0, e0 = first_zero
                 x1, e1 = first_one
-                inside = {v for v in range(n) if member[v]}
-                path = find_path(g, inside, x0, x1)
+                path = bfs_path(adj, x0, x1, vertex_ok=member)
                 assert path is not None  # grown subgraph is connected
                 cyc_v = path.vertices + [z]
                 cyc_e = path.edge_ids + [e1, e0]
@@ -104,13 +102,13 @@ def _incremental_flip(g: Graph) -> tuple[CheckOutcome, int]:
     side = bytearray(n)
     comp_id = list(range(n))
     members: list[list[int] | None] = [[v] for v in range(n)]
-    accepted: list[int] = []
     flips = 0
+    # every edge before a clash is accepted: each branch below merges,
+    # skips a redundant edge, or returns
     for eid, (a, b) in enumerate(g.pairs):
         ca = comp_id[a]
         cb = comp_id[b]
         if side[a] != side[b]:
-            accepted.append(eid)
             if ca == cb:
                 continue
             small, big = (ca, cb) if len(members[ca]) <= len(members[cb]) else (cb, ca)
@@ -121,7 +119,8 @@ def _incremental_flip(g: Graph) -> tuple[CheckOutcome, int]:
             continue
         if ca == cb:
             # same side inside one component: even path + this edge
-            return _closed_by(g, accepted, a, b, eid), flips
+            kept = b"\x01" * eid + bytes(g.m - eid)
+            return _closed_by(g, kept, a, b, eid), flips
         # same side, distinct components: flip the smaller, ties toward a
         small, big = (ca, cb) if len(members[ca]) <= len(members[cb]) else (cb, ca)
         for v in members[small]:
@@ -130,7 +129,6 @@ def _incremental_flip(g: Graph) -> tuple[CheckOutcome, int]:
         members[big].extend(members[small])
         members[small] = None
         flips += 1
-        accepted.append(eid)
     return CheckOutcome(bipartition=Bipartition(list(side))), flips
 
 
@@ -139,7 +137,7 @@ def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
     parent = list(range(n))
     rank = bytearray(n)
     par = bytearray(n)  # parity of each vertex relative to its parent
-    forest: list[int] = []  # edge ids that performed unions, never rewritten
+    in_forest = bytearray(g.m)  # edge ids that performed unions
     unions = 0
     for eid, (a, b) in enumerate(g.pairs):
         ra = a
@@ -178,7 +176,7 @@ def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
             w = parent[x]
         if ra != rb:
             unions += 1
-            forest.append(eid)
+            in_forest[eid] = 1
             bit = pa ^ pb ^ 1
             if rank[ra] < rank[rb]:
                 parent[ra] = rb
@@ -192,7 +190,7 @@ def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
                 rank[ra] += 1
         elif pa == pb:
             # the forest path a..b has even length; this edge closes it
-            return _closed_by(g, forest, a, b, eid), unions
+            return _closed_by(g, in_forest, a, b, eid), unions
     side = bytearray(n)
     for v in range(n):
         rv = v
@@ -218,44 +216,69 @@ def leaf_peel_two_color(g: Graph) -> Bipartition:
     for u, v in g.pairs:
         if u == v:
             raise CyclicGraphError(f"loop at vertex {u} is a cycle")
-    n = g.n
-    deg = [len(g.adj[v]) for v in range(n)]
-    heap = [(deg[v], v) for v in range(n)]
-    heapq.heapify(heap)
+    return Bipartition(_peel(g.n, g.pairs, range(g.m)))
+
+
+def _peel(n: int, pairs: list[tuple[int, int]], eids: Iterable[int]) -> list[int]:
+    """``leaf_peel_two_color`` on the loop-free edges ``pairs[e]`` for e in ``eids``.
+
+    Vertices of degree 0 and 1 wait in two integer heaps, each popped
+    smallest id first; an entry whose vertex has since been removed or lost
+    degree is stale and skipped.  ``nbrs[v]`` is the XOR of v's surviving
+    neighbors, so at degree 1 it is that neighbor: no adjacency is needed.
+    """
+    deg = [0] * n
+    nbrs = [0] * n
+    for e in eids:
+        u, v = pairs[e]
+        deg[u] += 1
+        deg[v] += 1
+        nbrs[u] ^= v
+        nbrs[v] ^= u
+    # ascending lists already satisfy the heap invariant
+    zero = [v for v in range(n) if deg[v] == 0]
+    one = [v for v in range(n) if deg[v] == 1]
     removed = bytearray(n)
     order: list[int] = []
     rec_neighbor = [-1] * n
+    heappop = heapq.heappop
+    heappush = heapq.heappush
     while len(order) < n:
-        while heap:
-            d, v = heapq.heappop(heap)
-            if not removed[v] and d == deg[v]:
-                break
+        if zero:
+            v = heappop(zero)
         else:
-            raise CyclicGraphError("graph contains a cycle")
-        if d > 1:
-            raise CyclicGraphError("graph contains a cycle")
-        if d == 1:
-            for nbr, _ in g.adj[v]:
-                if not removed[nbr]:
-                    rec_neighbor[v] = nbr
-                    deg[nbr] -= 1
-                    heapq.heappush(heap, (deg[nbr], nbr))
+            while one:
+                v = heappop(one)
+                if not removed[v] and deg[v] == 1:
                     break
+            else:
+                raise CyclicGraphError("graph contains a cycle")
+            w = nbrs[v]
+            rec_neighbor[v] = w
+            nbrs[w] ^= v
+            d = deg[w] - 1
+            deg[w] = d
+            if d == 0:
+                heappush(zero, w)
+            elif d == 1:
+                heappush(one, w)
         removed[v] = 1
         order.append(v)
     side = [0] * n
     for v in reversed(order):
         w = rec_neighbor[v]
         side[v] = 0 if w < 0 else side[w] ^ 1
-    return Bipartition(side)
+    return side
 
 
 def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
     n = g.n
     adj = g.adj
+    pairs = g.pairs
     visited = bytearray(n)
     is_tree = bytearray(g.m)
-    forest_eids: list[int] = []
+    up = [-1] * n  # each vertex's tree edge to its BFS parent; -1 at a root
+    depth = [0] * n
     for seed in range(n):
         if visited[seed]:
             continue
@@ -263,22 +286,48 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
         queue = deque([seed])
         while queue:
             x = queue.popleft()
+            below = depth[x] + 1
             for nbr, eid in adj[x]:
                 if not visited[nbr]:
                     visited[nbr] = 1
                     is_tree[eid] = 1
-                    forest_eids.append(eid)
+                    up[nbr] = eid
+                    depth[nbr] = below
                     queue.append(nbr)
-    forest_graph = build_graph(n, [g.pairs[e] for e in forest_eids])
-    side = leaf_peel_two_color(forest_graph).side
+    side = _peel(n, pairs, (e for e in up if e >= 0))
     examined = 0
-    for eid, (a, b) in enumerate(g.pairs):
+    for eid, (a, b) in enumerate(pairs):
         if is_tree[eid]:
             continue
         examined += 1
         if side[a] == side[b]:
-            return _closed_by(g, forest_eids, a, b, eid), examined
+            return CheckOutcome(odd_cycle=_tree_cycle(pairs, up, depth, a, b, eid)), examined
     return CheckOutcome(bipartition=Bipartition(side)), examined
+
+
+def _tree_cycle(
+    pairs: list[tuple[int, int]], up: list[int], depth: list[int], a: int, b: int, eid: int
+) -> OddCycle:
+    """The tree path a..b, found by climbing both ends to their meeting vertex, then ``eid``."""
+    a_verts, a_eids = [a], []
+    b_verts, b_eids = [b], []
+    while a != b:
+        if depth[a] >= depth[b]:
+            e = up[a]
+            u, v = pairs[e]
+            a = u ^ v ^ a
+            a_verts.append(a)
+            a_eids.append(e)
+        else:
+            e = up[b]
+            u, v = pairs[e]
+            b = u ^ v ^ b
+            b_verts.append(b)
+            b_eids.append(e)
+    b_verts.pop()  # the meeting vertex ends a_verts already
+    b_verts.reverse()
+    b_eids.reverse()
+    return OddCycle(a_verts + b_verts, a_eids + b_eids + [eid])
 
 
 def check_growth_induced(g: Graph) -> CheckOutcome:

@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,6 +144,23 @@ def _report(g: Graph, algorithm: str, outcome: CheckOutcome, elapsed: int) -> Re
                         None, list(outcome.odd_cycle.vertices), elapsed)
 
 
+@contextmanager
+def _reader_may_leave():
+    """Write stdout inside this block; a reader that has gone is not an error.
+
+    A reader that closes the pipe early (``bicert check ... | head``) does
+    not make the input bad, so the command's own exit code stands.  stdout
+    is pointed at os.devnull so that the flush at exit stays quiet.
+    """
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
@@ -155,11 +174,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     first = runs[0][0]
     if args.dot:
         Path(args.dot).write_text(write_dot(g, first))
-    if args.json:
-        print(json.dumps([r.to_dict(args.timing) for r in reports], indent=2))
-    else:
-        for r in reports:
-            print(r.render(args.timing))
+    with _reader_may_leave():
+        if args.json:
+            print(json.dumps([r.to_dict(args.timing) for r in reports], indent=2))
+        else:
+            for r in reports:
+                print(r.render(args.timing))
     return EXIT_BIPARTITE if first.is_bipartite else EXIT_ODD_CYCLE
 
 
@@ -177,7 +197,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     g = generate(spec)
-    sys.stdout.write(_WRITERS[args.format](g))
+    with _reader_may_leave():
+        sys.stdout.write(_WRITERS[args.format](g))
     return EXIT_BIPARTITE
 
 
@@ -215,9 +236,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     def emit_and_exit(code: int) -> int:
         rows.sort(key=BenchRow.sort_key)
-        writer.writerow(BENCH_CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.values())
+        with _reader_may_leave():
+            writer.writerow(BENCH_CSV_HEADER)
+            for row in rows:
+                writer.writerow(row.values())
         return code
 
     for kind_flag in args.kinds:

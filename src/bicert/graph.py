@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Container, Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -142,20 +142,30 @@ def find_path(g: Graph, allowed: Iterable[int], a: int, b: int) -> Path | None:
     toward lower vertex ids.  Returns None when ``b`` is unreachable; a == b
     yields the zero-length path.  Loops are never traversed.
     """
-    allowed_set = allowed if isinstance(allowed, (set, frozenset)) else set(allowed)
-    if a not in allowed_set or b not in allowed_set:
+    n = g.n
+    member = bytearray(n)
+    for v in allowed:
+        if 0 <= v < n:
+            member[v] = 1
+    if not (0 <= a < n and member[a] and 0 <= b < n and member[b]):
         raise InputError("path endpoints must belong to the allowed set")
-    return bfs_path(g.adj, allowed_set, a, b)
+    return bfs_path(g.adj, a, b, vertex_ok=member)
 
 
 def bfs_path(
-    adj: list[list[tuple[int, int]]], allowed: Container[int] | None, a: int, b: int
+    adj: list[list[tuple[int, int]]],
+    a: int,
+    b: int,
+    vertex_ok: Sequence[int] | None = None,
+    edge_ok: Sequence[int] | None = None,
 ) -> Path | None:
-    """``find_path`` over any ``(neighbor, edge_id)`` adjacency lists.
+    """``find_path`` over ``(neighbor, edge_id)`` adjacency lists and masks.
 
-    Lets a caller search a subgraph given by a subset of edge ids without
-    building a Graph for it.  ``allowed`` must contain ``a`` and ``b``;
-    None allows every vertex and skips the per-neighbor membership test.
+    ``vertex_ok[v]`` and ``edge_ok[eid]`` (a bytearray, say) are truthy for
+    the vertices and edge ids the path may use; None allows all of them.
+    The search visits only what it reaches, so its cost follows the region
+    searched, not the size of the graph.  The caller makes sure ``a`` and
+    ``b`` are allowed.
     """
     if a == b:
         return Path([a], [])
@@ -164,7 +174,11 @@ def bfs_path(
     while queue:
         x = queue.popleft()
         for nbr, eid in sorted(adj[x]):
-            if nbr in parent or (allowed is not None and nbr not in allowed):
+            if (
+                nbr in parent
+                or (vertex_ok is not None and not vertex_ok[nbr])
+                or (edge_ok is not None and not edge_ok[eid])
+            ):
                 continue
             parent[nbr] = (x, eid)
             if nbr == b:

@@ -195,6 +195,25 @@ class TestLeafPeel:
         g = build_graph(7, [(0, 3), (3, 5), (1, 2), (5, 6)])
         assert verify_bipartition(g, leaf_peel_two_color(g))
 
+    @pytest.mark.parametrize("g", [
+        # a four-cycle carrying pendant trees at 0 and 2
+        build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (2, 6)]),
+        # a triangle plus isolated vertices, which are peeled first
+        build_graph(6, [(0, 1), (1, 2), (2, 0)]),
+    ], ids=["cycle-with-pendants", "triangle-with-isolated"])
+    def test_cycle_under_peelable_parts_rejected(self, g):
+        with pytest.raises(CyclicGraphError):
+            leaf_peel_two_color(g)
+
+    @pytest.mark.parametrize("pairs, side", [
+        # path 3-1-5-0-4-2: peels 2, 3, 1, 4, 0, then 5
+        ([(3, 1), (1, 5), (5, 0), (0, 4), (4, 2)], [1, 1, 1, 0, 0, 0]),
+        # star on centre 2: peels 0, 1, 3, 4, then 2 beside 5, then 5
+        ([(2, 0), (2, 5), (2, 3), (2, 1), (2, 4)], [0, 0, 1, 0, 0, 0]),
+    ], ids=["path", "star"])
+    def test_last_peeled_vertex_gets_side_zero(self, pairs, side):
+        assert leaf_peel_two_color(build_graph(6, pairs)).side == side
+
 
 class TestForestRecolor:
     def test_forest_input_matches_leaf_peel(self):

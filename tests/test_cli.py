@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,6 +79,28 @@ class TestCheckExitCodes:
         monkeypatch.setattr(cli, "run_instrumented", crash)
         assert cli.main(["check", even_file]) == 3
         assert "internal error: ZeroDivisionError: boom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path_fixture, code", [("even_file", 0), ("odd_file", 1)])
+    def test_closed_stdout_keeps_the_verdict(self, path_fixture, code, request,
+                                             tmp_path, capsys, monkeypatch):
+        # `bicert check ... | head`: the reader closes the pipe early
+        with open(tmp_path / "stdout", "w") as target:
+            class ClosedPipe:
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def flush(self):
+                    pass
+
+                def fileno(self):
+                    return target.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            path = request.getfixturevalue(path_fixture)
+            assert cli.main(["check", path, "--json"]) == code
+            # stdout's descriptor now leads to os.devnull
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+        assert capsys.readouterr().err == ""
 
     def test_disagreement_is_three(self, even_file, capsys, monkeypatch):
         flip_flop = iter(range(100))
@@ -165,6 +189,24 @@ class TestGen:
         ) == 0
         expected = (GOLDEN / "random_n12_m20_s7.txt").read_text()
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("gen_argv, fmt, golden", [
+        # a 41-cycle on fresh vertices, closed at the end of the edge stream
+        (["--kind", "planted-odd-cycle", "--left", "500", "--right", "500",
+          "--m", "2000", "--cycle-len", "41", "--seed", "3", "--format", "dimacs"],
+         "dimacs", "check_planted_odd_cycle_late_s3.txt"),
+        # the first odd cycle closes inside a 678-vertex component, so the
+        # flip and dsu searches cover a large region, and flip's path has
+        # equal-length rivals that only the sorted neighbor order separates
+        (["--kind", "random", "--n", "3000", "--m", "2000", "--seed", "69"],
+         "edgelist", "check_random_n3000_m2000_s69.txt"),
+    ])
+    def test_certificate_golden_bytes(self, gen_argv, fmt, golden, tmp_path, capsys):
+        assert cli.main(["gen", *gen_argv]) == 0
+        path = tmp_path / "g.txt"
+        path.write_text(capsys.readouterr().out)
+        assert cli.main(["check", str(path), "--format", fmt]) == 1
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
     def test_gen_pipes_into_check(self, tmp_path, capsys):
         cli.main(["gen", "--kind", "planted-bipartite", "--left", "4",

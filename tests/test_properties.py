@@ -17,6 +17,7 @@ from bicert import (
     connected_components,
     find_odd_cycle_exhaustive,
     find_path,
+    run_instrumented,
     simplify,
     verify_bipartition,
     verify_odd_cycle,
@@ -125,3 +126,84 @@ def test_path_parity_matches_sides(g):
                 continue
             # alternation holds on any path under a proper 2-coloring
             assert (side[a] == side[b]) == (path.length % 2 == 0)
+
+
+def _union_edges(g):
+    """Union edges of a plain id-order union-find, and the first odd-closing edge."""
+    comp = list(range(g.n))
+    parity = [0] * g.n
+    unions = []
+    for eid, (a, b) in enumerate(g.pairs):
+        if comp[a] != comp[b]:
+            old, flip = comp[b], parity[a] ^ parity[b] ^ 1
+            for v in range(g.n):
+                if comp[v] == old:
+                    comp[v] = comp[a]
+                    parity[v] ^= flip
+            unions.append(eid)
+        elif parity[a] == parity[b]:
+            return unions, eid
+    return unions, None
+
+
+def _bfs_forest_edges(g):
+    """Edges of the id-order BFS forest, and the first non-forest edge closing an odd cycle."""
+    depth = [-1] * g.n
+    tree = set()
+    for seed in range(g.n):
+        if depth[seed] >= 0:
+            continue
+        depth[seed] = 0
+        queue = [seed]
+        for x in queue:
+            for nbr, eid in g.adj[x]:
+                if depth[nbr] < 0:
+                    depth[nbr] = depth[x] + 1
+                    tree.add(eid)
+                    queue.append(nbr)
+    closing = next((eid for eid, (a, b) in enumerate(g.pairs)
+                    if eid not in tree and depth[a] % 2 == depth[b] % 2), None)
+    return sorted(tree), closing
+
+
+def _old_route_certificate(g, kept, closing):
+    """Adjacency over the kept ids, a BFS in sorted order, then the closing edge."""
+    a, b = g.pairs[closing]
+    adj = [[] for _ in range(g.n)]
+    for k in kept:
+        u, v = g.pairs[k]
+        adj[u].append((v, k))
+        adj[v].append((u, k))
+    parent = {a: None}
+    queue = [a]
+    for x in queue:
+        for nbr, k in sorted(adj[x]):
+            if nbr not in parent:
+                parent[nbr] = (x, k)
+                queue.append(nbr)
+    verts, eids = [b], []
+    while verts[-1] != a:
+        x, k = parent[verts[-1]]
+        verts.append(x)
+        eids.append(k)
+    return verts[::-1], eids[::-1] + [closing]
+
+
+@given(graphs(max_n=12, max_m=30, loops=False))
+@settings(deadline=None)
+def test_certificates_match_the_adjacency_rebuild_route(g):
+    # flip, dsu and forest used to rebuild an adjacency over their kept edge
+    # ids and search it; their certificates must not have changed
+    unions, closing = _union_edges(g)
+    tree, tree_closing = _bfs_forest_edges(g)
+    if closing is None:
+        assert tree_closing is None
+        return
+    expected = {
+        "flip": _old_route_certificate(g, range(closing), closing),
+        "dsu": _old_route_certificate(g, unions, closing),
+        "forest": _old_route_certificate(g, tree, tree_closing),
+    }
+    for name, (verts, eids) in expected.items():
+        cycle = run_instrumented(g, name)[0].odd_cycle
+        assert (cycle.vertices, cycle.edge_ids) == (verts, eids), name
