@@ -24,11 +24,9 @@ from .checkers import (
     check_forest_recolor,
     check_growth_induced,
     check_incremental_flip,
-    leaf_peel_two_color,
     run_instrumented,
 )
 from .errors import (
-    CyclicGraphError,
     InputError,
     InternalInvariantError,
     ParseError,
@@ -43,10 +41,6 @@ from .formats import (
 from .generators import (
     GenSpec,
     SplitMix64,
-    gen_forest,
-    gen_planted_bipartite,
-    gen_planted_odd_cycle,
-    gen_random,
     generate,
 )
 from .graph import (
@@ -71,7 +65,6 @@ __all__ = [
     "Bipartition",
     "CheckOutcome",
     "ComponentLabeling",
-    "CyclicGraphError",
     "GenSpec",
     "Graph",
     "InputError",
@@ -94,12 +87,7 @@ __all__ = [
     "find_odd_cycle_exhaustive",
     "find_path",
     "flip_component",
-    "gen_forest",
-    "gen_planted_bipartite",
-    "gen_planted_odd_cycle",
-    "gen_random",
     "generate",
-    "leaf_peel_two_color",
     "parse_dimacs",
     "parse_edge_list",
     "run_instrumented",

@@ -33,7 +33,7 @@ from .certificates import (
     OddCycle,
     verify_outcome,
 )
-from .errors import CyclicGraphError, InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError
 from .graph import Graph, bfs_path
 
 ALGORITHM_NAMES = ("growth", "flip", "dsu", "forest")
@@ -204,28 +204,16 @@ def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
     return CheckOutcome(bipartition=Bipartition(list(side))), unions
 
 
-def leaf_peel_two_color(g: Graph) -> Bipartition:
-    """Two-color an acyclic graph by peeling minimum-degree vertices.
+def _peel(n: int, pairs: list[tuple[int, int]], eids: Iterable[int]) -> list[int]:
+    """Two-color the forest of edges ``pairs[e]``, e in ``eids``, by peeling.
 
     Each step removes the smallest-id vertex of minimum degree (always 0 or
-    1 in an acyclic graph), recording its surviving neighbor if any; the
-    coloring is rebuilt in reverse removal order, isolated-at-removal
-    vertices landing on side 0.  Loops, parallel pairs, or any cycle raise
-    CyclicGraphError.
-    """
-    for u, v in g.pairs:
-        if u == v:
-            raise CyclicGraphError(f"loop at vertex {u} is a cycle")
-    return Bipartition(_peel(g.n, g.pairs, range(g.m)))
-
-
-def _peel(n: int, pairs: list[tuple[int, int]], eids: Iterable[int]) -> list[int]:
-    """``leaf_peel_two_color`` on the loop-free edges ``pairs[e]`` for e in ``eids``.
-
-    Vertices of degree 0 and 1 wait in two integer heaps, each popped
-    smallest id first; an entry whose vertex has since been removed or lost
-    degree is stale and skipped.  ``nbrs[v]`` is the XOR of v's surviving
-    neighbors, so at degree 1 it is that neighbor: no adjacency is needed.
+    1 in a forest), recording its surviving neighbor if any; the coloring
+    is rebuilt in reverse removal order, isolated-at-removal vertices
+    landing on side 0.  Vertices of degree 0 and 1 wait in two integer
+    heaps; an entry whose vertex has since been removed or lost degree is
+    stale and skipped.  ``nbrs[v]`` is the XOR of v's surviving neighbors,
+    so at degree 1 it is that neighbor: no adjacency is needed.
     """
     deg = [0] * n
     nbrs = [0] * n
@@ -252,7 +240,7 @@ def _peel(n: int, pairs: list[tuple[int, int]], eids: Iterable[int]) -> list[int
                 if not removed[v] and deg[v] == 1:
                     break
             else:
-                raise CyclicGraphError("graph contains a cycle")
+                raise InternalInvariantError("BFS forest contains a cycle")
             w = nbrs[v]
             rec_neighbor[v] = w
             nbrs[w] ^= v
@@ -382,11 +370,16 @@ def run_instrumented(g: Graph, algorithm: str) -> tuple[CheckOutcome, int]:
 def check(g: Graph, algorithm: str) -> CheckOutcome:
     """Dispatch to a checker by name and verify its certificate.
 
-    A certificate rejected by its own verifier raises
-    InternalInvariantError: that can only mean a bug here, never bad input.
+    A certificate rejected by its own verifier, or too malformed to verify,
+    raises InternalInvariantError: that can only mean a bug here, never bad
+    input.
     """
     outcome, _ = run_instrumented(g, algorithm)
-    if not verify_outcome(g, outcome):
+    try:
+        ok = verify_outcome(g, outcome)
+    except InputError:  # a malformed certificate is the checker's fault too
+        ok = False
+    if not ok:
         raise InternalInvariantError(
             f"checker {algorithm!r} returned a certificate its verifier rejects"
         )

@@ -1,8 +1,9 @@
 """Command line entry points: check, gen, bench.
 
 Exit codes: 0 bipartite, 1 odd cycle found, 2 usage, input or parse error,
-3 internal failure (a certificate failed its own verifier, the algorithms
-disagreed, or any other unexpected exception: a bug in bicert).
+3 internal failure (a certificate failed or was too malformed for its own
+verifier, the algorithms disagreed, or any other unexpected exception: a
+bug in bicert).
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ import sys
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 from .certificates import CheckOutcome, verify_outcome
 from .checkers import ALGORITHM_NAMES, run_instrumented
 from .errors import InputError, InternalInvariantError, ParseError
 from .formats import parse_dimacs, parse_edge_list, write_dimacs, write_dot, write_edge_list
-from .generators import GenSpec, generate
+from .generators import KIND_NAMES, GenSpec, generate
 from .graph import Graph
 
 EXIT_BIPARTITE = 0
@@ -33,78 +33,12 @@ EXIT_INTERNAL = 3
 _PARSERS = {"edgelist": parse_edge_list, "dimacs": parse_dimacs}
 _WRITERS = {"edgelist": write_edge_list, "dimacs": write_dimacs}
 
-# CLI spellings to GenSpec kinds
-_KIND_FLAGS = {
-    "random": "random",
-    "planted-bipartite": "planted_bipartite",
-    "planted-odd-cycle": "planted_odd_cycle",
-    "forest": "forest",
-}
+# CLI spellings of the generator kinds
+_KIND_FLAGS = {kind.replace("_", "-"): kind for kind in KIND_NAMES}
 
 BENCH_CSV_HEADER = (
     "algorithm", "kind", "n", "m", "seed", "rep", "verdict", "elapsed_ns", "ops_counter",
 )
-
-
-@dataclass
-class ResultReport:
-    """One checker's answer on one graph."""
-
-    algorithm: str
-    verdict: str
-    n: int
-    m: int
-    sides: tuple[list[int], list[int]] | None
-    cycle: list[int] | None
-    elapsed_ns: int
-
-    def to_dict(self, timing: bool) -> dict:
-        out: dict = {
-            "algorithm": self.algorithm,
-            "verdict": self.verdict,
-            "n": self.n,
-            "m": self.m,
-        }
-        if self.sides is not None:
-            out["sides"] = {"side0": self.sides[0], "side1": self.sides[1]}
-        if self.cycle is not None:
-            out["cycle"] = self.cycle
-        if timing:
-            out["elapsed_ns"] = self.elapsed_ns
-        return out
-
-    def render(self, timing: bool) -> str:
-        lines = [
-            f"algorithm={self.algorithm} verdict={self.verdict} n={self.n} m={self.m}"
-        ]
-        if self.sides is not None:
-            lines.append("  side0: " + " ".join(map(str, self.sides[0])))
-            lines.append("  side1: " + " ".join(map(str, self.sides[1])))
-        if self.cycle is not None:
-            lines.append("  cycle: " + " ".join(map(str, self.cycle)))
-        if timing:
-            lines.append(f"  elapsed_ns: {self.elapsed_ns}")
-        return "\n".join(lines)
-
-
-@dataclass
-class BenchRow:
-    algorithm: str
-    kind: str
-    n: int
-    m: int
-    seed: int
-    rep: int
-    verdict: str
-    elapsed_ns: int
-    ops_counter: int
-
-    def sort_key(self):
-        return (self.algorithm, self.kind, self.n, self.m, self.seed, self.rep)
-
-    def values(self):
-        return [self.algorithm, self.kind, self.n, self.m, self.seed,
-                self.rep, self.verdict, self.elapsed_ns, self.ops_counter]
 
 
 def _certified_runs(
@@ -114,14 +48,19 @@ def _certified_runs(
 
     Returns, per algorithm, its outcome, ops counter and wall nanoseconds
     around the checker only.  Raises InternalInvariantError when a
-    certificate fails its verifier or the algorithms disagree.
+    certificate fails its verifier, is too malformed to verify, or the
+    algorithms disagree.
     """
     runs = []
     for name in algorithms:
         t0 = time.perf_counter_ns()
         outcome, ops = run_instrumented(g, name)
         elapsed = time.perf_counter_ns() - t0
-        if not verify_outcome(g, outcome):
+        try:
+            ok = verify_outcome(g, outcome)
+        except InputError:  # a malformed certificate is the checker's fault too
+            ok = False
+        if not ok:
             raise InternalInvariantError(
                 f"checker {name!r} returned a certificate its verifier rejects"
             )
@@ -136,12 +75,31 @@ def _certified_runs(
     return runs
 
 
-def _report(g: Graph, algorithm: str, outcome: CheckOutcome, elapsed: int) -> ResultReport:
+def _report(g: Graph, algorithm: str, outcome: CheckOutcome, elapsed: int,
+            timing: bool) -> dict:
+    """One checker's answer on one graph, as ``--json`` prints it."""
+    report: dict = {"algorithm": algorithm, "verdict": outcome.branch, "n": g.n, "m": g.m}
     if outcome.bipartition is not None:
-        return ResultReport(algorithm, outcome.branch, g.n, g.m,
-                            outcome.bipartition.sides(), None, elapsed)
-    return ResultReport(algorithm, outcome.branch, g.n, g.m,
-                        None, list(outcome.odd_cycle.vertices), elapsed)
+        side0, side1 = outcome.bipartition.sides()
+        report["sides"] = {"side0": side0, "side1": side1}
+    else:
+        report["cycle"] = list(outcome.odd_cycle.vertices)
+    if timing:
+        report["elapsed_ns"] = elapsed
+    return report
+
+
+def _render(report: dict) -> str:
+    """The text form of one ``_report``."""
+    lines = [f"algorithm={report['algorithm']} verdict={report['verdict']}"
+             f" n={report['n']} m={report['m']}"]
+    for side, vertices in report.get("sides", {}).items():
+        lines.append(f"  {side}: " + " ".join(map(str, vertices)))
+    if "cycle" in report:
+        lines.append("  cycle: " + " ".join(map(str, report["cycle"])))
+    if "elapsed_ns" in report:
+        lines.append(f"  elapsed_ns: {report['elapsed_ns']}")
+    return "\n".join(lines)
 
 
 @contextmanager
@@ -169,17 +127,17 @@ def cmd_check(args: argparse.Namespace) -> int:
     g = _PARSERS[args.format](text)
     algos = ALGORITHM_NAMES if args.algo == "all" else (args.algo,)
     runs = _certified_runs(g, algos)
-    reports = [_report(g, name, outcome, elapsed)
+    reports = [_report(g, name, outcome, elapsed, args.timing)
                for name, (outcome, _, elapsed) in zip(algos, runs)]
     first = runs[0][0]
     if args.dot:
         Path(args.dot).write_text(write_dot(g, first))
     with _reader_may_leave():
         if args.json:
-            print(json.dumps([r.to_dict(args.timing) for r in reports], indent=2))
+            print(json.dumps(reports, indent=2))
         else:
-            for r in reports:
-                print(r.render(args.timing))
+            for report in reports:
+                print(_render(report))
     return EXIT_BIPARTITE if first.is_bipartite else EXIT_ODD_CYCLE
 
 
@@ -231,15 +189,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         except ValueError:
             raise InputError(f"size {token!r} must be two integers") from None
 
-    rows: list[BenchRow] = []
+    rows: list[tuple] = []  # one per BENCH_CSV_HEADER line
     writer = csv.writer(sys.stdout, lineterminator="\n")
 
     def emit_and_exit(code: int) -> int:
-        rows.sort(key=BenchRow.sort_key)
+        rows.sort(key=lambda row: row[:6])
         with _reader_may_leave():
             writer.writerow(BENCH_CSV_HEADER)
-            for row in rows:
-                writer.writerow(row.values())
+            writer.writerows(rows)
         return code
 
     for kind_flag in args.kinds:
@@ -255,8 +212,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                               f" n={g.n} m={g.m} seed={seed}", file=sys.stderr)
                         return emit_and_exit(EXIT_INTERNAL)
                     for algorithm, (outcome, ops, elapsed) in zip(ALGORITHM_NAMES, runs):
-                        rows.append(BenchRow(algorithm, kind, g.n, g.m, seed,
-                                             rep, outcome.branch, elapsed, ops))
+                        rows.append((algorithm, kind, g.n, g.m, seed,
+                                     rep, outcome.branch, elapsed, ops))
     return emit_and_exit(EXIT_BIPARTITE)
 
 

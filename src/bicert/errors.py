@@ -18,10 +18,6 @@ class ParseError(InputError):
         self.line_no = line_no
 
 
-class CyclicGraphError(InputError):
-    """An operation that requires an acyclic graph was given a cycle."""
-
-
 class InternalInvariantError(RuntimeError):
     """A checker produced output that its own verifier rejects.
 

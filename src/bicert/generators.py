@@ -7,10 +7,10 @@ platform and Python version.  The platform RNG is deliberately not used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InputError
-from .graph import Graph, build_graph
+from .graph import MAX_VERTICES, Graph, build_graph
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -46,10 +46,10 @@ class SplitMix64:
 class GenSpec:
     """Parameters for one generated graph.
 
-    ``kind`` is one of random, planted_bipartite, planted_odd_cycle, forest.
-    Exactly the fields relevant to the kind may be set; ``m`` (edge count)
-    and ``p`` (edge probability) are mutually exclusive.  ``allow_loops``
-    and ``allow_multi`` apply to the random kind only.
+    ``kind`` is a key of ``_KINDS``, which lists the fields each kind
+    requires and the fields it may also set; every other field must keep
+    its default.  ``m`` (edge count) and ``p`` (edge probability) are
+    mutually exclusive.
     """
 
     kind: str
@@ -69,39 +69,16 @@ def _require(cond: bool, message: str) -> None:
         raise InputError(message)
 
 
-def _common_checks(spec: GenSpec) -> None:
-    _require(isinstance(spec.seed, int) and 0 <= spec.seed <= _MASK64,
-             f"seed must be a 64-bit unsigned integer, got {spec.seed!r}")
-    if spec.p is not None:
-        _require(spec.m is None, "m and p are mutually exclusive")
-        _require(0.0 <= spec.p <= 1.0, f"p must lie in [0, 1], got {spec.p}")
-    if spec.m is not None:
-        _require(spec.m >= 0, f"m must be non-negative, got {spec.m}")
-
-
-def _forbid(spec: GenSpec, fields: list[str]) -> None:
-    for name in fields:
-        value = getattr(spec, name)
-        default = False if name in ("allow_loops", "allow_multi") else None
-        _require(value == default,
-                 f"field {name!r} does not apply to kind {spec.kind!r}")
-
-
-def gen_random(spec: GenSpec) -> Graph:
+def _random(spec: GenSpec, rng: SplitMix64) -> Graph:
     """Uniform random graph on ``n`` vertices.
 
     With ``p``: every unordered pair (and loop, when allowed) is included
     independently, pairs enumerated in ascending order.  With ``m``: pairs
     are drawn until ``m`` survive the loop/duplicate rules.
     """
-    _require(spec.kind == "random", f"kind {spec.kind!r} is not random")
-    _common_checks(spec)
-    _forbid(spec, ["n_left", "n_right", "cycle_len"])
     n = spec.n
-    _require(n is not None and n >= 0, "random kind requires n >= 0")
     _require((spec.m is None) != (spec.p is None),
              "random kind requires exactly one of m, p")
-    rng = SplitMix64(spec.seed)
     pairs: list[tuple[int, int]] = []
     if spec.p is not None:
         for u in range(n):
@@ -133,30 +110,19 @@ def gen_random(spec: GenSpec) -> Graph:
     return build_graph(n, pairs)
 
 
-def gen_planted_bipartite(spec: GenSpec) -> Graph:
+def _planted_bipartite(spec: GenSpec, rng: SplitMix64) -> Graph:
     """Graph with all edges between [0, n_left) and [n_left, n_left+n_right).
 
     ``p`` enumerates cross pairs in ascending order; ``m`` samples cross
     pairs with replacement, so parallel edges can occur.
     """
-    _require(spec.kind == "planted_bipartite",
-             f"kind {spec.kind!r} is not planted_bipartite")
-    _common_checks(spec)
-    _forbid(spec, ["n", "cycle_len", "allow_loops", "allow_multi"])
-    left, right = spec.n_left, spec.n_right
-    _require(left is not None and left >= 0, "planted_bipartite requires n_left >= 0")
-    _require(right is not None and right >= 0, "planted_bipartite requires n_right >= 0")
     _require((spec.m is None) != (spec.p is None),
              "planted_bipartite requires exactly one of m, p")
-    rng = SplitMix64(spec.seed)
-    n = left + right
-    pairs = _planted_pairs(rng, spec, left, right)
-    return build_graph(n, pairs)
+    return build_graph(spec.n_left + spec.n_right, _planted_pairs(rng, spec))
 
 
-def _planted_pairs(
-    rng: SplitMix64, spec: GenSpec, left: int, right: int
-) -> list[tuple[int, int]]:
+def _planted_pairs(rng: SplitMix64, spec: GenSpec) -> list[tuple[int, int]]:
+    left, right = spec.n_left, spec.n_right
     pairs: list[tuple[int, int]] = []
     if spec.p is not None:
         for u in range(left):
@@ -172,7 +138,7 @@ def _planted_pairs(
     return pairs
 
 
-def gen_planted_odd_cycle(spec: GenSpec) -> Graph:
+def _planted_odd_cycle(spec: GenSpec, rng: SplitMix64) -> Graph:
     """A planted bipartite base plus one odd cycle on fresh vertices.
 
     The cycle occupies ids [base_n, base_n + cycle_len); when the base is
@@ -180,19 +146,11 @@ def gen_planted_odd_cycle(spec: GenSpec) -> Graph:
     cycle vertex.  An empty base yields the bare cycle.  ``m``/``p`` size
     the base; omitting both means an edgeless base.
     """
-    _require(spec.kind == "planted_odd_cycle",
-             f"kind {spec.kind!r} is not planted_odd_cycle")
-    _common_checks(spec)
-    _forbid(spec, ["n", "allow_loops", "allow_multi"])
-    left, right = spec.n_left, spec.n_right
-    _require(left is not None and left >= 0, "planted_odd_cycle requires n_left >= 0")
-    _require(right is not None and right >= 0, "planted_odd_cycle requires n_right >= 0")
     cycle_len = spec.cycle_len
-    _require(cycle_len is not None and cycle_len >= 3 and cycle_len % 2 == 1,
+    _require(cycle_len >= 3 and cycle_len % 2 == 1,
              f"cycle_len must be an odd integer >= 3, got {cycle_len}")
-    rng = SplitMix64(spec.seed)
-    base_n = left + right
-    pairs = _planted_pairs(rng, spec, left, right)
+    base_n = spec.n_left + spec.n_right
+    pairs = _planted_pairs(rng, spec)
     first = base_n
     for i in range(cycle_len - 1):
         pairs.append((first + i, first + i + 1))
@@ -202,20 +160,13 @@ def gen_planted_odd_cycle(spec: GenSpec) -> Graph:
     return build_graph(base_n + cycle_len, pairs)
 
 
-def gen_forest(spec: GenSpec) -> Graph:
+def _forest(spec: GenSpec, rng: SplitMix64) -> Graph:
     """Uniform attachment forest.
 
     Vertex v > 0 stays isolated with probability 0.1, otherwise joins a
     uniformly chosen earlier vertex.  Always acyclic; m < n whenever n > 0.
     """
-    _require(spec.kind == "forest", f"kind {spec.kind!r} is not forest")
-    _common_checks(spec)
-    _forbid(spec, ["n_left", "n_right", "cycle_len", "allow_loops", "allow_multi"])
-    _require(spec.m is None and spec.p is None,
-             "forest takes no m or p; its edge count is random")
     n = spec.n
-    _require(n is not None and n >= 0, "forest requires n >= 0")
-    rng = SplitMix64(spec.seed)
     pairs = []
     for v in range(1, n):
         if rng.random() < FOREST_ISOLATION_PROBABILITY:
@@ -224,22 +175,45 @@ def gen_forest(spec: GenSpec) -> Graph:
     return build_graph(n, pairs)
 
 
-_GENERATORS = {
-    "random": gen_random,
-    "planted_bipartite": gen_planted_bipartite,
-    "planted_odd_cycle": gen_planted_odd_cycle,
-    "forest": gen_forest,
+# kind -> (builder, required fields, fields it may also set).  The required
+# fields are vertex counts, so their sum is the number of vertices built.
+_KINDS = {
+    "random": (_random, ("n",), ("m", "p", "allow_loops", "allow_multi")),
+    "planted_bipartite": (_planted_bipartite, ("n_left", "n_right"), ("m", "p")),
+    "planted_odd_cycle": (
+        _planted_odd_cycle, ("n_left", "n_right", "cycle_len"), ("m", "p")
+    ),
+    "forest": (_forest, ("n",), ()),
 }
 
-KIND_NAMES = tuple(_GENERATORS)
+KIND_NAMES = tuple(_KINDS)
 
 
 def generate(spec: GenSpec) -> Graph:
-    """Dispatch on ``spec.kind``."""
+    """Validate ``spec`` against its kind's row of ``_KINDS``, then build it."""
     try:
-        fn = _GENERATORS[spec.kind]
+        build, required, optional = _KINDS[spec.kind]
     except KeyError:
         raise InputError(
             f"unknown kind {spec.kind!r}; expected one of {KIND_NAMES}"
         ) from None
-    return fn(spec)
+    for field in fields(GenSpec):
+        name = field.name
+        value = getattr(spec, name)
+        if name in required:
+            _require(value is not None and value >= 0,
+                     f"{spec.kind} requires {name} >= 0")
+        elif name not in optional and name not in ("kind", "seed"):
+            _require(value == field.default,
+                     f"field {name!r} does not apply to kind {spec.kind!r}")
+    total = sum(getattr(spec, name) for name in required)
+    _require(total <= MAX_VERTICES,
+             f"vertex count {total} exceeds the limit of {MAX_VERTICES}")
+    _require(isinstance(spec.seed, int) and 0 <= spec.seed <= _MASK64,
+             f"seed must be a 64-bit unsigned integer, got {spec.seed!r}")
+    if spec.p is not None:
+        _require(spec.m is None, "m and p are mutually exclusive")
+        _require(0.0 <= spec.p <= 1.0, f"p must lie in [0, 1], got {spec.p}")
+    if spec.m is not None:
+        _require(spec.m >= 0, f"m must be non-negative, got {spec.m}")
+    return build(spec, SplitMix64(spec.seed))

@@ -13,6 +13,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 
+# the most vertices a Graph may have; a larger declared count is bad input,
+# refused before any adjacency list is allocated
+MAX_VERTICES = 10_000_000
+
 
 class Graph:
     """Adjacency-list multigraph, frozen after construction.
@@ -29,6 +33,8 @@ class Graph:
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
+        if n > MAX_VERTICES:
+            raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         copied = [(u, v) for u, v in pairs]
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(copied):

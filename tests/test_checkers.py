@@ -1,4 +1,4 @@
-"""The four checkers, leaf peeling, and the verifying dispatcher.
+"""The four checkers, the forest checker's leaf peel, and the verifying dispatcher.
 
 Frozen certificates below were derived by hand-tracing each algorithm's
 deterministic rule, then cross-checked against the exhaustive oracle
@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import pytest
 
+import bicert.checkers as checkers
 from bicert import (
     ALGORITHM_NAMES,
-    CyclicGraphError,
+    Bipartition,
+    CheckOutcome,
     GenSpec,
     InputError,
+    InternalInvariantError,
     brute_force_bipartite,
     build_graph,
     canonicalize_bipartition,
@@ -23,8 +26,7 @@ from bicert import (
     check_growth_induced,
     check_incremental_flip,
     connected_components,
-    gen_random,
-    leaf_peel_two_color,
+    generate,
     run_instrumented,
     verify_bipartition,
     verify_odd_cycle,
@@ -153,7 +155,7 @@ class TestDsuParity:
         assert verify_odd_cycle(five_cycle(), out.odd_cycle)
 
     def test_matches_oracle_on_seeded_random(self):
-        g = gen_random(GenSpec(kind="random", n=12, m=20, seed=7))
+        g = generate(GenSpec(kind="random", n=12, m=20, seed=7))
         out = check_dsu_parity(g)
         oracle_bp = brute_force_bipartite(g)
         assert out.is_bipartite == (oracle_bp is not None)
@@ -164,46 +166,30 @@ class TestDsuParity:
         assert unions == 3
 
 
+def peel(g):
+    # on a forest input the BFS forest is the graph itself, so the forest
+    # checker's coloring is the leaf peel's
+    return check_forest_recolor(g).bipartition
+
+
 class TestLeafPeel:
     def test_path_forced_alternation(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        assert leaf_peel_two_color(g).side == [0, 1, 0]
+        assert peel(g).side == [0, 1, 0]
 
     def test_star_up_to_canonicalization(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        bp = leaf_peel_two_color(g)
+        bp = peel(g)
         assert bp.side == [1, 0, 0, 0]
         canon = canonicalize_bipartition(connected_components(g), bp)
         assert canon.side == [0, 1, 1, 1]
 
     def test_edgeless(self):
-        assert leaf_peel_two_color(build_graph(3, [])).side == [0, 0, 0]
-
-    def test_cycle_rejected(self):
-        with pytest.raises(CyclicGraphError):
-            leaf_peel_two_color(four_cycle())
-
-    def test_loop_rejected(self):
-        with pytest.raises(CyclicGraphError):
-            leaf_peel_two_color(build_graph(1, [(0, 0)]))
-
-    def test_parallel_pair_rejected(self):
-        with pytest.raises(CyclicGraphError):
-            leaf_peel_two_color(build_graph(2, [(0, 1), (0, 1)]))
+        assert peel(build_graph(3, [])).side == [0, 0, 0]
 
     def test_coloring_verifies_on_forests(self):
         g = build_graph(7, [(0, 3), (3, 5), (1, 2), (5, 6)])
-        assert verify_bipartition(g, leaf_peel_two_color(g))
-
-    @pytest.mark.parametrize("g", [
-        # a four-cycle carrying pendant trees at 0 and 2
-        build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (2, 6)]),
-        # a triangle plus isolated vertices, which are peeled first
-        build_graph(6, [(0, 1), (1, 2), (2, 0)]),
-    ], ids=["cycle-with-pendants", "triangle-with-isolated"])
-    def test_cycle_under_peelable_parts_rejected(self, g):
-        with pytest.raises(CyclicGraphError):
-            leaf_peel_two_color(g)
+        assert verify_bipartition(g, peel(g))
 
     @pytest.mark.parametrize("pairs, side", [
         # path 3-1-5-0-4-2: peels 2, 3, 1, 4, 0, then 5
@@ -212,17 +198,10 @@ class TestLeafPeel:
         ([(2, 0), (2, 5), (2, 3), (2, 1), (2, 4)], [0, 0, 1, 0, 0, 0]),
     ], ids=["path", "star"])
     def test_last_peeled_vertex_gets_side_zero(self, pairs, side):
-        assert leaf_peel_two_color(build_graph(6, pairs)).side == side
+        assert peel(build_graph(6, pairs)).side == side
 
 
 class TestForestRecolor:
-    def test_forest_input_matches_leaf_peel(self):
-        g = build_graph(6, [(0, 1), (1, 2), (3, 4)])
-        out = check_forest_recolor(g)
-        lab = connected_components(g)
-        assert canonicalize_bipartition(lab, out.bipartition) == \
-            canonicalize_bipartition(lab, leaf_peel_two_color(g))
-
     def test_chorded_square_frozen_certificate(self):
         # BFS tree is the star at 0; the chord's triangle comes back first
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
@@ -262,3 +241,16 @@ class TestCheckDispatch:
     def test_unknown_algorithm(self):
         with pytest.raises(InputError):
             check(triangle(), "quantum")
+
+    @pytest.mark.parametrize("side", [
+        [0, 0, 0],  # not proper
+        [0, 0],  # too short to verify
+        [0, 2, 0],  # not binary
+    ], ids=["improper", "short", "non-binary"])
+    def test_rejected_certificate_is_internal(self, side, monkeypatch):
+        def broken(g, algorithm):
+            return CheckOutcome(bipartition=Bipartition(side)), 0
+
+        monkeypatch.setattr(checkers, "run_instrumented", broken)
+        with pytest.raises(InternalInvariantError):
+            check(triangle(), "growth")

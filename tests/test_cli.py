@@ -16,6 +16,14 @@ from bicert import Bipartition, CheckOutcome, OddCycle
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# certificates a faulty checker might return, as functions of n: one the
+# verifier rejects, and two too malformed for it to verify
+MALFORMED_SIDES = {
+    "rejected": lambda n: [0] * n,
+    "short": lambda n: [0] * (n - 1),
+    "non-binary": lambda n: [0, 2] + [0] * (n - 2),
+}
+
 
 @pytest.fixture
 def even_file(tmp_path):
@@ -59,12 +67,24 @@ class TestCheckExitCodes:
         capsys.readouterr()
 
     def test_rejected_certificate_is_three(self, odd_file, capsys, monkeypatch):
-        def broken(g, algorithm):
-            return CheckOutcome(bipartition=Bipartition([0] * g.n)), 0
+        for side in MALFORMED_SIDES.values():
+            def broken(g, algorithm):
+                return CheckOutcome(bipartition=Bipartition(side(g.n))), 0
 
-        monkeypatch.setattr(cli, "run_instrumented", broken)
-        assert cli.main(["check", odd_file, "--algo", "growth"]) == 3
-        assert "internal error:" in capsys.readouterr().err
+            monkeypatch.setattr(cli, "run_instrumented", broken)
+            assert cli.main(["check", odd_file, "--algo", "growth"]) == 3
+            assert "internal error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("edgelist", "0 4000000000\n"),
+        ("edgelist", "n 4000000000\n"),
+        ("dimacs", "p edge 4000000000 0\n"),
+    ], ids=["edge", "header", "dimacs"])
+    def test_vertex_count_over_the_cap_is_two(self, fmt, text, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        assert cli.main(["check", str(path), "--format", fmt]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
 
     def test_non_utf8_file_is_two(self, tmp_path, capsys):
         path = tmp_path / "bytes.txt"
@@ -208,6 +228,20 @@ class TestGen:
         assert cli.main(["check", str(path), "--format", fmt]) == 1
         assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
+    @pytest.mark.parametrize("gen_argv, code, golden", [
+        (["--kind", "planted-bipartite", "--left", "8", "--right", "7",
+          "--m", "30", "--seed", "5"],
+         0, "check_json_planted_bipartite_l8_r7_m30_s5.json"),
+        (["--kind", "random", "--n", "20", "--m", "30", "--seed", "11"],
+         1, "check_json_random_n20_m30_s11.json"),
+    ], ids=["bipartite", "odd"])
+    def test_json_golden_bytes(self, gen_argv, code, golden, tmp_path, capsys):
+        assert cli.main(["gen", *gen_argv]) == 0
+        path = tmp_path / "g.txt"
+        path.write_text(capsys.readouterr().out)
+        assert cli.main(["check", str(path), "--json", "--algo", "all"]) == code
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
     def test_gen_pipes_into_check(self, tmp_path, capsys):
         cli.main(["gen", "--kind", "planted-bipartite", "--left", "4",
                   "--right", "4", "--m", "12", "--seed", "9"])
@@ -230,6 +264,10 @@ class TestGen:
     def test_forest_rejects_m(self, capsys):
         assert cli.main(["gen", "--kind", "forest", "--n", "5", "--m", "3"]) == 2
         capsys.readouterr()
+
+    def test_vertex_count_over_the_cap_is_two(self, capsys):
+        assert cli.main(["gen", "--kind", "forest", "--n", "4000000000"]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
 
     def test_same_seed_same_bytes(self, capsys):
         argv = ["gen", "--kind", "random", "--n", "30", "--p", "0.2", "--seed", "5"]
@@ -288,14 +326,15 @@ class TestBench:
         assert verdicts["planted_bipartite"] == "bipartite"
         assert verdicts["planted_odd_cycle"] == "odd_cycle"
 
-    @pytest.mark.parametrize("fault", ["rejected", "disagree"])
+    @pytest.mark.parametrize("fault", ["rejected", "short", "non-binary", "disagree"])
     def test_internal_error_is_three(self, fault, capsys, monkeypatch):
         answers = iter(range(100))
+        side = MALFORMED_SIDES.get(fault, MALFORMED_SIDES["rejected"])
 
         def faulty(g, algorithm):
             if fault == "disagree" and next(answers) % 2:
                 return CheckOutcome(odd_cycle=OddCycle([0], [0])), 0
-            return CheckOutcome(bipartition=Bipartition([0] * g.n)), 0
+            return CheckOutcome(bipartition=Bipartition(side(g.n))), 0
 
         monkeypatch.setattr(cli, "run_instrumented", faulty)
         if fault == "disagree":

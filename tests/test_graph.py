@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -12,6 +14,7 @@ from bicert import (
     find_path,
     simplify,
 )
+from bicert.graph import MAX_VERTICES
 from conftest import four_cycle, graphs, triangle
 
 
@@ -41,6 +44,16 @@ class TestBuildGraph:
     def test_empty_graph(self):
         g = build_graph(0, [])
         assert g.n == 0 and g.m == 0
+
+    def test_vertex_count_over_the_cap_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="exceeds the limit"):
+                build_graph(MAX_VERTICES + 1, [])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @given(graphs())
     def test_adjacency_length_sum(self, g):
