@@ -40,10 +40,10 @@ ALGORITHM_NAMES = ("growth", "flip", "dsu", "forest")
 
 
 def _loop_certificate(g: Graph) -> OddCycle | None:
-    for eid, (u, v) in enumerate(g.pairs):
-        if u == v:
-            return OddCycle([u], [eid])
-    return None
+    eid = g.first_loop
+    if eid is None:
+        return None
+    return OddCycle([g.pairs[eid][0]], [eid])
 
 
 def _closed_by(g: Graph, kept: bytes | bytearray, a: int, b: int, eid: int) -> CheckOutcome:

@@ -2,19 +2,84 @@
 
 from __future__ import annotations
 
+import re
+from itertools import chain, repeat
+from operator import sub
+from typing import Iterator
+
 from .certificates import CheckOutcome, verify_outcome
 from .errors import InputError, ParseError
-from .graph import Graph, build_graph
+from .graph import MAX_VERTICES, Graph, build_graph
 
 # fixed fills for the two sides; certificate edges go bold red
 _SIDE_COLORS = ("#a6cee3", "#fdbf6f")
 
+# The exact layouts write_edge_list and write_dimacs emit.  Text of this
+# shape is read in bulk; any other text (comments, blank lines, tabs, CRLF,
+# no final newline, a bad line) is read line by line.
+_EDGE_LIST_SHAPE = re.compile(r"n [0-9]+\n(?:[0-9]++ [0-9]++\n)*+")
+_DIMACS_SHAPE = re.compile(r"p edge [0-9]+ [0-9]+\n(?:e [0-9]++ [0-9]++\n)*+")
+# the bulk read splits newline-aligned chunks of about this many characters,
+# so that one chunk's tokens are alive at a time, not the whole file's
+_CHUNK = 1 << 20
+# tokens on a line are separated by spaces and tabs, nothing else
+_SEPARATOR = re.compile(r"[ \t]+")
+
+
+def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each line of ``text`` that has any.
+
+    Lines end at ``\\n`` only, optionally preceded by ``\\r``; spaces and
+    tabs around and between tokens are dropped.
+    """
+    for line_no, raw in enumerate(text.split("\n"), 1):
+        line = raw.removesuffix("\r").strip(" \t")
+        if not line:
+            continue
+        if "\t" in line or "  " in line:
+            yield line_no, _SEPARATOR.split(line)
+        else:  # single spaces, the usual case: no regex needed
+            yield line_no, line.split(" ")
+
+
+def _is_digits(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
 
 def _int_token(token: str, line_no: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"{what} {token!r} is not an integer", line_no) from None
+    """A token of ASCII digits as an int; any other token is a ParseError."""
+    if _is_digits(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts (4300 by default)
+            raise ParseError(f"{what} of {len(token)} digits is too long", line_no) from None
+    if token.startswith("-") and _is_digits(token[1:]):
+        raise ParseError(f"{what} {token} is negative", line_no)
+    raise ParseError(f"{what} {token!r} is not an integer", line_no)
+
+
+def _bulk_pairs(text: str, start: int, dimacs: bool) -> Iterator[tuple[int, int]]:
+    """The endpoint pairs of the edge lines from ``text[start:]`` on.
+
+    The lines must be in their writer's layout: ``u v`` or DIMACS's
+    ``e u v`` with 1-based ids.  Ids are not range-checked here;
+    ``Graph`` refuses one outside the graph.
+    """
+
+    def chunks() -> Iterator[Iterator[tuple[int, int]]]:
+        begin = start
+        while begin < len(text):
+            end = text.find("\n", begin + _CHUNK) + 1 or len(text)
+            tokens = text[begin:end].split()
+            begin = end
+            if dimacs:
+                del tokens[::3]  # the "e" tags
+            ids = list(map(int, tokens))
+            del tokens  # the graph keeps the ints, not the strings
+            it = map(sub, ids, repeat(1)) if dimacs else iter(ids)
+            yield zip(it, it)
+
+    return chain.from_iterable(chunks())
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -23,22 +88,36 @@ def parse_edge_list(text: str) -> Graph:
     The first significant line may be a header ``n <count>`` declaring the
     vertex count (this is how isolated trailing vertices survive a round
     trip).  Without a header, n is one more than the largest id seen.
-    Duplicate edge lines become parallel edges; ``u u`` is a loop.
+    Duplicate edge lines become parallel edges; ``u u`` is a loop.  Ids and
+    counts are ASCII digits; lines end at ``\\n`` (or ``\\r\\n``) and tokens
+    are separated by spaces and tabs.  Any other text raises ParseError.
     """
+    if _EDGE_LIST_SHAPE.fullmatch(text):
+        start = text.index("\n") + 1
+        try:
+            n = int(text[2:start - 1])
+            return build_graph(n, _bulk_pairs(text, start, dimacs=False))
+        except ValueError:  # an id or count out of range, or too long for int()
+            pass  # the line walk names the line
+    return _walk_edge_list(text)
+
+
+def _walk_edge_list(text: str) -> Graph:
     declared: int | None = None
     header_possible = True
     pairs: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line_no, tokens in _lines(text):
+        if tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if header_possible and tokens[0] == "n":
             if len(tokens) != 2:
                 raise ParseError("header must be 'n <count>'", line_no)
             declared = _int_token(tokens[1], line_no, "vertex count")
-            if declared < 0:
-                raise ParseError(f"vertex count {declared} is negative", line_no)
+            if declared > MAX_VERTICES:
+                raise ParseError(
+                    f"vertex count {declared} exceeds the limit of {MAX_VERTICES}",
+                    line_no,
+                )
             header_possible = False
             continue
         header_possible = False
@@ -46,11 +125,15 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"expected 'u v', got {len(tokens)} tokens", line_no)
         u = _int_token(tokens[0], line_no, "vertex id")
         v = _int_token(tokens[1], line_no, "vertex id")
-        if u < 0 or v < 0:
-            raise ParseError(f"vertex ids must be non-negative: {u} {v}", line_no)
-        if declared is not None and (u >= declared or v >= declared):
+        if declared is not None:
+            if u >= declared or v >= declared:
+                raise ParseError(
+                    f"vertex id exceeds declared count {declared}: {u} {v}", line_no
+                )
+        elif u >= MAX_VERTICES or v >= MAX_VERTICES:
             raise ParseError(
-                f"vertex id exceeds declared count {declared}: {u} {v}", line_no
+                f"vertex id {max(u, v)} exceeds the limit of {MAX_VERTICES} vertices",
+                line_no,
             )
         pairs.append((u, v))
     n = declared if declared is not None else (
@@ -72,15 +155,26 @@ def parse_dimacs(text: str) -> Graph:
     Every malformation is reported with its line number: a missing or
     duplicate problem line, an edge before it, vertices outside [1, n],
     unknown line types, or a final edge count differing from the declared m.
+    Lines, tokens and numbers follow the edge list's ASCII rules.
     """
+    if _DIMACS_SHAPE.fullmatch(text):
+        start = text.index("\n") + 1
+        try:
+            n, m = map(int, text[7:start - 1].split(" "))
+            if text.count("\n", start) == m:
+                return build_graph(n, _bulk_pairs(text, start, dimacs=True))
+        except ValueError:  # an id or count out of range, or too long for int()
+            pass  # the line walk names the line
+    return _walk_dimacs(text)
+
+
+def _walk_dimacs(text: str) -> Graph:
     n: int | None = None
     declared_m = 0
     pairs: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for line_no, tokens in _lines(text):
+        if tokens[0].startswith("c"):
             continue
-        tokens = line.split()
         if tokens[0] == "p":
             if n is not None:
                 raise ParseError("duplicate problem line", line_no)
@@ -88,8 +182,10 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError("problem line must be 'p edge <n> <m>'", line_no)
             n = _int_token(tokens[2], line_no, "vertex count")
             declared_m = _int_token(tokens[3], line_no, "edge count")
-            if n < 0 or declared_m < 0:
-                raise ParseError("counts must be non-negative", line_no)
+            if n > MAX_VERTICES:
+                raise ParseError(
+                    f"vertex count {n} exceeds the limit of {MAX_VERTICES}", line_no
+                )
         elif tokens[0] == "e":
             if n is None:
                 raise ParseError("edge line before problem line", line_no)

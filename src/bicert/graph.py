@@ -25,10 +25,11 @@ class Graph:
     appears exactly once, in its single endpoint's list.  Entries are
     ``(neighbor, edge_id)`` pairs in edge-id order.  Instances are treated
     as read-only values by every algorithm here; do not mutate ``pairs``
-    or ``adj`` after construction.
+    or ``adj`` after construction.  ``first_loop`` is the id of the first
+    loop, or None when there is none.
     """
 
-    __slots__ = ("n", "pairs", "adj")
+    __slots__ = ("n", "pairs", "adj", "first_loop")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -37,6 +38,7 @@ class Graph:
             raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         copied = [(u, v) for u, v in pairs]
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        first_loop = None
         for eid, (u, v) in enumerate(copied):
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(
@@ -45,9 +47,12 @@ class Graph:
             adj[u].append((v, eid))
             if u != v:
                 adj[v].append((u, eid))
+            elif first_loop is None:
+                first_loop = eid
         self.n = n
         self.pairs = copied
         self.adj = adj
+        self.first_loop = first_loop
 
     @property
     def m(self) -> int:

@@ -8,6 +8,7 @@ before being pinned.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
 
 import bicert.checkers as checkers
 from bicert import (
@@ -17,6 +18,7 @@ from bicert import (
     GenSpec,
     InputError,
     InternalInvariantError,
+    OddCycle,
     brute_force_bipartite,
     build_graph,
     canonicalize_bipartition,
@@ -31,7 +33,7 @@ from bicert import (
     verify_bipartition,
     verify_odd_cycle,
 )
-from conftest import five_cycle, four_cycle, k4, petersen, triangle
+from conftest import five_cycle, four_cycle, graphs, k4, petersen, triangle
 
 ALL_CHECKERS = dict(zip(ALGORITHM_NAMES, (
     check_growth_induced,
@@ -43,6 +45,17 @@ ALL_CHECKERS = dict(zip(ALGORITHM_NAMES, (
 
 def canonical(g, outcome):
     return canonicalize_bipartition(connected_components(g), outcome.bipartition)
+
+
+@given(graphs(max_n=6, max_m=20))
+def test_recorded_first_loop_certifies_every_run(g):
+    loops = [eid for eid, (u, v) in enumerate(g.pairs) if u == v]
+    assert g.first_loop == (loops[0] if loops else None)
+    if loops:
+        u = g.pairs[loops[0]][0]
+        expected = CheckOutcome(odd_cycle=OddCycle([u], [loops[0]]))
+        for name in ALGORITHM_NAMES:
+            assert run_instrumented(g, name) == (expected, 0)
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)

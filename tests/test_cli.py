@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import os
@@ -10,9 +11,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import bicert.cli as cli
-from bicert import Bipartition, CheckOutcome, OddCycle
+from bicert import ALGORITHM_NAMES, Bipartition, CheckOutcome, OddCycle, build_graph
+from bicert.checkers import run_instrumented
+from conftest import graphs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -85,6 +90,17 @@ class TestCheckExitCodes:
         path.write_text(text)
         assert cli.main(["check", str(path), "--format", fmt]) == 2
         assert "exceeds the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", [
+        (f"0 {'1' * 5000}\n", 1),      # read line by line
+        (f"n 5\n0 {'1' * 5000}\n", 2),  # in the writer's layout, read in bulk first
+    ], ids=["line-walk", "bulk"])
+    def test_id_too_long_for_int_is_two(self, text, line, tmp_path, capsys):
+        path = tmp_path / "long.txt"
+        path.write_text(text)
+        assert cli.main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line {line}: vertex id of 5000 digits is too long\n"
 
     def test_non_utf8_file_is_two(self, tmp_path, capsys):
         path = tmp_path / "bytes.txt"
@@ -357,3 +373,113 @@ class TestBench:
         _, second = self.run(argv, capsys)
         strip = lambda rows: [r[:7] + r[8:] for r in rows]
         assert strip(first) == strip(second)
+
+
+class TestCollector:
+    """main() runs without the cyclic collector and restores the caller's state."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("case, code", [
+        ("even", 0), ("odd", 1), ("parse-error", 2), ("usage", 2), ("internal", 3),
+    ])
+    def test_state_is_restored(self, case, code, collecting, even_file, odd_file,
+                               tmp_path, capsys, monkeypatch):
+        seen = []
+        run = cli.run_instrumented
+
+        def spy(g, algorithm):
+            seen.append(gc.isenabled())
+            if case == "internal":
+                raise ZeroDivisionError("boom")
+            return run(g, algorithm)
+
+        monkeypatch.setattr(cli, "run_instrumented", spy)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 x\n")
+        argv = {"even": ["check", even_file], "odd": ["check", odd_file],
+                "parse-error": ["check", str(bad)], "usage": ["check"],
+                "internal": ["check", even_file]}[case]
+        assert cli.main(argv) == code
+        capsys.readouterr()
+        assert gc.isenabled() is collecting
+        assert not any(seen)
+
+    def test_gen_and_bench_run_without_it(self, collecting, capsys, monkeypatch):
+        seen = []
+        generate = cli.generate
+        monkeypatch.setattr(cli, "generate",
+                            lambda spec: seen.append(gc.isenabled()) or generate(spec))
+        assert cli.main(["gen", "--kind", "forest", "--n", "5"]) == 0
+        assert cli.main(["bench", "--kinds", "forest", "--sizes", "5,0",
+                         "--seeds", "1"]) == 0
+        capsys.readouterr()
+        assert seen == [False, False]
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("small, large", [
+        (["check", "{odd}", "--json"], ["check", "{big}", "--json"]),
+        (["check", "{odd}", "--dot", "{dot}"], ["check", "{big}", "--dot", "{dot}"]),
+        (["gen", "--kind", "random", "--n", "3", "--m", "2"],
+         ["gen", "--kind", "random", "--n", "300", "--m", "900", "--loops"]),
+        (["bench", "--kinds", "random", "--sizes", "3,2", "--seeds", "1"],
+         ["bench", "--kinds", "random", "planted-odd-cycle", "--sizes", "300,900",
+          "--seeds", "1", "2", "--repeat", "2"]),
+    ], ids=["check", "dot", "gen", "bench"])
+    def test_runs_leave_no_cyclic_garbage_of_their_own(self, small, large, odd_file,
+                                                       tmp_path, capsys):
+        # what the collector would have freed is argparse's parser alone:
+        # the same amount whatever the size of the graphs
+        big = tmp_path / "big.txt"
+        cli.main(["gen", "--kind", "random", "--n", "400", "--m", "1200", "--seed", "2"])
+        big.write_text(capsys.readouterr().out)
+        paths = {"odd": odd_file, "big": str(big), "dot": str(tmp_path / "g.dot")}
+
+        def garbage(argv):
+            gc.collect()
+            was = gc.isenabled()
+            gc.disable()  # no automatic collection between main() and ours
+            try:
+                cli.main([arg.format(**paths) for arg in argv])
+                capsys.readouterr()
+                return gc.collect()
+            finally:
+                if was:
+                    gc.enable()
+
+        assert garbage(large) == garbage(small)
+
+
+class TestJsonWriter:
+    """The --json text is json.dumps(reports, indent=2), byte for byte."""
+
+    @given(graphs(max_n=12, max_m=24), st.booleans(), st.integers(0, 2**63))
+    def test_matches_json_dumps(self, g, timing, elapsed):
+        reports = [
+            cli._report(g, name, run_instrumented(g, name)[0], elapsed, timing)
+            for name in ALGORITHM_NAMES
+        ]
+        assert cli._json_text(reports) == json.dumps(reports, indent=2)
+
+    @pytest.mark.parametrize("g", [
+        build_graph(0, []),
+        build_graph(3, []),                     # isolated vertices only
+        build_graph(4, [(0, 1), (2, 2)]),       # a loop certificate
+        build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+    ], ids=["empty", "isolated", "loop", "five-cycle"])
+    def test_edge_cases(self, g):
+        for timing in (False, True):
+            reports = [cli._report(g, name, run_instrumented(g, name)[0], 12, timing)
+                       for name in ALGORITHM_NAMES]
+            assert cli._json_text(reports) == json.dumps(reports, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, "x\u00e9\"\n", 7, [True, 1], [1.5], [[], [1, [2]], {}], {"k": None},
+    ])
+    def test_other_values_fall_back_to_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+import bicert.formats as formats
 from bicert import (
     Bipartition,
     CheckOutcome,
@@ -19,7 +23,32 @@ from bicert import (
     write_dot,
     write_edge_list,
 )
+from bicert.generators import GenSpec, generate
 from conftest import four_cycle, graphs, triangle
+
+LONG_ID = "1" * 5000  # more digits than int() converts by default
+
+
+def _outcome(parse, text):
+    """What a parser makes of text: the graph's parts, or the error's message."""
+    try:
+        g = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return g.n, g.pairs, g.adj, g.first_loop
+
+
+@st.composite
+def near_writer_text(draw, dimacs):
+    """Text in a writer's layout whose counts and ids may be wrong."""
+    number = st.one_of(st.integers(0, 9).map(str), st.sampled_from(
+        ["00", "07", "10000001", "4000000000", LONG_ID]))
+    n = draw(number)
+    lines = draw(st.lists(st.tuples(number, number), max_size=6))
+    if dimacs:
+        m = draw(st.one_of(st.just(str(len(lines))), number))
+        return f"p edge {n} {m}\n" + "".join(f"e {u} {v}\n" for u, v in lines)
+    return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in lines)
 
 
 class TestParseEdgeList:
@@ -164,3 +193,166 @@ class TestWriters:
     def test_dimacs_is_one_based(self):
         text = write_dimacs(build_graph(2, [(0, 1)]))
         assert text == "p edge 2 1\ne 1 2\n"
+
+
+class TestAsciiGrammar:
+    """Ids are [0-9]+, tokens split on spaces and tabs, lines on \\n only."""
+
+    @pytest.mark.parametrize("text, line", [
+        ("\u0661 \u0662\n", 1),          # Arabic-Indic digits
+        ("1_0 2\n", 1),
+        ("+1 2\n", 1),
+        ("0 1\n0 \uff11\n", 2),         # a fullwidth digit
+        ("0 1\x0c0 x\n", 1),             # a form feed ends no line
+        ("0 1\x1c1 2\n", 1),
+        ("0 1\x851 2\n", 1),
+        ("0 1\u20281 2\n", 1),
+        ("0 1\r1 2\n", 1),               # nor does a lone carriage return
+        ("0\x0b1\n", 1),                 # other whitespace separates nothing
+        ("0\u30001\n", 1),
+        ("0 1\n\n# c\n1 \xa02\n", 4),
+        ("n\u00a05\n", 1),
+        ("0 1\u00a0\n", 1),              # and is not stripped from line ends
+        ("\x0c0 1\n", 1),
+        ("0 1\x0b\n", 1),
+        ("0 1\r \n", 1),
+    ])
+    def test_edge_list_rejects_non_ascii_layout(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse_edge_list(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("p edge 2 1\ne \u0661 2\n", 2),
+        ("p edge 2 1\ne +1 2\n", 2),
+        ("p edge 1_0 0\n", 1),
+        ("p edge 2 1\x0ce 1 2\n", 1),
+        ("c x\np edge 2 1\ne 1\u20282\n", 3),
+    ])
+    def test_dimacs_rejects_non_ascii_layout(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse_dimacs(text)
+
+    def test_crlf_tabs_and_padding_are_accepted(self):
+        expected = build_graph(3, [(0, 1), (1, 2)])
+        assert parse_edge_list("n 3\r\n0\t1\r\n  1 \t 2 \r\n") == expected
+        assert parse_dimacs("p\tedge 3 2\r\ne 1 2\r\n\te  2\t3\n") == expected
+
+    def test_comments_may_hold_any_text(self):
+        assert parse_edge_list("# \u0661\x0c\n0 1\n").pairs == [(0, 1)]
+        assert parse_dimacs("c \u2028 \x85\np edge 2 1\ne 1 2\n").pairs == [(0, 1)]
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_edge_list, "-1 0\n", "vertex id -1 is negative"),
+        (parse_edge_list, "0 -0\n", "vertex id -0 is negative"),
+        (parse_edge_list, "n -3\n", "vertex count -3 is negative"),
+        (parse_dimacs, "p edge 2 -1\n", "edge count -1 is negative"),
+        (parse_edge_list, "0 --1\n", "vertex id '--1' is not an integer"),
+    ])
+    def test_signs_are_refused(self, parse, text, message):
+        with pytest.raises(ParseError, match=f"^line 1: {message}$"):
+            parse(text)
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_edge_list, f"0 {LONG_ID}\n"),              # line walk
+        (parse_edge_list, f"n 5\n0 {LONG_ID}\n"),        # bulk layout
+        (parse_edge_list, f"n {LONG_ID}\n"),
+        (parse_dimacs, f"p edge 2 1\ne 1 {LONG_ID}\n"),
+        (parse_dimacs, f"p edge {LONG_ID} 0\n"),
+    ])
+    def test_too_long_id_is_a_parse_error(self, parse, text):
+        with pytest.raises(ParseError, match="5000 digits is too long"):
+            parse(text)
+
+    @pytest.mark.parametrize("parse, text, line", [
+        (parse_edge_list, "0 1\n0 4000000000\n", 2),
+        (parse_edge_list, "n 4000000000\n0 1\n", 1),
+        (parse_edge_list, "n 10000001\n", 1),
+        (parse_dimacs, "p edge 4000000000 0\n", 1),
+    ])
+    def test_vertex_cap_is_a_parse_error(self, parse, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: .*exceeds the limit"):
+            parse(text)
+
+
+class TestBulkRead:
+    """The bulk read of the writers' layout agrees with the line walk."""
+
+    @given(graphs())
+    def test_writer_output_reads_in_bulk(self, g):
+        for write, parse, walk, shape in (
+            (write_edge_list, parse_edge_list, formats._walk_edge_list,
+             formats._EDGE_LIST_SHAPE),
+            (write_dimacs, parse_dimacs, formats._walk_dimacs, formats._DIMACS_SHAPE),
+        ):
+            text = write(g)
+            assert shape.fullmatch(text)
+            assert _outcome(parse, text) == _outcome(walk, text)
+            assert parse(text).adj == g.adj
+
+    @given(graphs(), st.sampled_from([1, 2, 5, 13, 64]))
+    def test_chunk_boundaries(self, g, chunk):
+        with mock.patch.object(formats, "_CHUNK", chunk):
+            assert _outcome(parse_edge_list, write_edge_list(g)) == _outcome(
+                formats._walk_edge_list, write_edge_list(g))
+            assert _outcome(parse_dimacs, write_dimacs(g)) == _outcome(
+                formats._walk_dimacs, write_dimacs(g))
+
+    def test_input_larger_than_one_chunk(self):
+        g = generate(GenSpec(kind="random", n=50_000, m=120_000,
+                             allow_loops=True, allow_multi=True, seed=3))
+        for write, parse, walk in ((write_edge_list, parse_edge_list,
+                                    formats._walk_edge_list),
+                                   (write_dimacs, parse_dimacs, formats._walk_dimacs)):
+            text = write(g)
+            assert len(text) > formats._CHUNK
+            assert _outcome(parse, text) == _outcome(walk, text)
+
+    @given(graphs(), st.sets(st.sampled_from(
+        ["comment", "blank", "crlf", "tab", "no-final-newline"]), min_size=1))
+    def test_other_layouts_take_the_line_walk(self, g, variants):
+        for write, parse, shape, comment in (
+            (write_edge_list, parse_edge_list, formats._EDGE_LIST_SHAPE, "# x"),
+            (write_dimacs, parse_dimacs, formats._DIMACS_SHAPE, "c x"),
+        ):
+            lines = write(g).splitlines()
+            if "comment" in variants:
+                lines.insert(1, comment)
+            if "blank" in variants:
+                lines.append("")
+            if "tab" in variants:
+                lines = [line.replace(" ", "\t") for line in lines]
+            eol = "\r\n" if "crlf" in variants else "\n"
+            text = eol.join(lines)
+            if "no-final-newline" not in variants:
+                text += eol
+            if text == write(g):  # a blank line and no final newline: the writer's layout
+                continue
+            assert not shape.fullmatch(text)
+            assert parse(text) == g
+
+    @given(near_writer_text(dimacs=False))
+    def test_edge_list_bulk_falls_back_on_bad_counts(self, text):
+        assert formats._EDGE_LIST_SHAPE.fullmatch(text)
+        assert _outcome(parse_edge_list, text) == _outcome(formats._walk_edge_list, text)
+
+    @given(near_writer_text(dimacs=True))
+    def test_dimacs_bulk_falls_back_on_bad_counts(self, text):
+        assert formats._DIMACS_SHAPE.fullmatch(text)
+        assert _outcome(parse_dimacs, text) == _outcome(formats._walk_dimacs, text)
+
+
+# text near both grammars, plus characters each must refuse
+_FUZZ_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(
+        list("0123456789 \t\r\n#cnpe-+_") + ["edge", "\x0c", "\x85", "\u2028",
+                                           "\u0661", "4000000000", LONG_ID]),
+    ).map("".join),
+)
+
+
+@given(_FUZZ_TEXT)
+def test_fuzz_only_parse_errors_escape(text):
+    for parse, walk in ((parse_edge_list, formats._walk_edge_list),
+                        (parse_dimacs, formats._walk_dimacs)):
+        assert _outcome(parse, text) == _outcome(walk, text)
