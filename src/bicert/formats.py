@@ -14,11 +14,18 @@ from .graph import MAX_VERTICES, Graph, build_graph
 # fixed fills for the two sides; certificate edges go bold red
 _SIDE_COLORS = ("#a6cee3", "#fdbf6f")
 
-# The exact layouts write_edge_list and write_dimacs emit.  Text of this
-# shape is read in bulk; any other text (comments, blank lines, tabs, CRLF,
-# no final newline, a bad line) is read line by line.
-_EDGE_LIST_SHAPE = re.compile(r"n [0-9]+\n(?:[0-9]++ [0-9]++\n)*+")
-_DIMACS_SHAPE = re.compile(r"p edge [0-9]+ [0-9]+\n(?:e [0-9]++ [0-9]++\n)*+")
+# The exact layouts write_edge_list and write_dimacs emit, read in bulk; any
+# other text (comments, blank lines, tabs, CRLF, no final newline, a bad line)
+# is read line by line.  A layout is a header pattern and the pattern of a
+# newline followed by neither an edge line nor the end: text is in the layout
+# when it opens with the header and no such newline follows.  One search finds
+# that newline without the backtracking state a repeated group of edge lines
+# keeps per line (about 30 MiB at 1.6e5 edges).
+_EDGE_LIST_LAYOUT = (re.compile(r"n [0-9]+\n"), re.compile(r"\n(?![0-9]+ [0-9]+\n|\Z)"))
+_DIMACS_LAYOUT = (
+    re.compile(r"p edge [0-9]+ [0-9]+\n"),
+    re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)"),
+)
 # the bulk read splits newline-aligned chunks of about this many characters,
 # so that one chunk's tokens are alive at a time, not the whole file's
 _CHUNK = 1 << 20
@@ -34,12 +41,17 @@ def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """
     for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.removesuffix("\r").strip(" \t")
-        if not line:
-            continue
-        if "\t" in line or "  " in line:
+        if line:
             yield line_no, _SEPARATOR.split(line)
-        else:  # single spaces, the usual case: no regex needed
-            yield line_no, line.split(" ")
+
+
+def _edge_lines_start(text: str, layout: tuple[re.Pattern, re.Pattern]) -> int:
+    """Where the edge lines begin if ``text`` is in ``layout``, else 0."""
+    header, bad_break = layout
+    head = header.match(text)
+    if head is None or bad_break.search(text, head.end() - 1):
+        return 0
+    return head.end()
 
 
 def _is_digits(token: str) -> bool:
@@ -92,8 +104,8 @@ def parse_edge_list(text: str) -> Graph:
     counts are ASCII digits; lines end at ``\\n`` (or ``\\r\\n``) and tokens
     are separated by spaces and tabs.  Any other text raises ParseError.
     """
-    if _EDGE_LIST_SHAPE.fullmatch(text):
-        start = text.index("\n") + 1
+    start = _edge_lines_start(text, _EDGE_LIST_LAYOUT)
+    if start:
         try:
             n = int(text[2:start - 1])
             return build_graph(n, _bulk_pairs(text, start, dimacs=False))
@@ -157,8 +169,8 @@ def parse_dimacs(text: str) -> Graph:
     unknown line types, or a final edge count differing from the declared m.
     Lines, tokens and numbers follow the edge list's ASCII rules.
     """
-    if _DIMACS_SHAPE.fullmatch(text):
-        start = text.index("\n") + 1
+    start = _edge_lines_start(text, _DIMACS_LAYOUT)
+    if start:
         try:
             n, m = map(int, text[7:start - 1].split(" "))
             if text.count("\n", start) == m:

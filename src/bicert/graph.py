@@ -37,13 +37,15 @@ class Graph:
         if n > MAX_VERTICES:
             raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         copied = [(u, v) for u, v in pairs]
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        first_loop = None
+        # checked before adj is allocated, so a bad id costs no n lists
         for eid, (u, v) in enumerate(copied):
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(
                     f"edge {eid} endpoint pair ({u}, {v}) out of range for n={n}"
                 )
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        first_loop = None
+        for eid, (u, v) in enumerate(copied):
             adj[u].append((v, eid))
             if u != v:
                 adj[v].append((u, eid))

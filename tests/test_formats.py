@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -24,6 +26,7 @@ from bicert import (
     write_edge_list,
 )
 from bicert.generators import GenSpec, generate
+from bicert.graph import MAX_VERTICES
 from conftest import four_cycle, graphs, triangle
 
 LONG_ID = "1" * 5000  # more digits than int() converts by default
@@ -279,13 +282,13 @@ class TestBulkRead:
 
     @given(graphs())
     def test_writer_output_reads_in_bulk(self, g):
-        for write, parse, walk, shape in (
+        for write, parse, walk, layout in (
             (write_edge_list, parse_edge_list, formats._walk_edge_list,
-             formats._EDGE_LIST_SHAPE),
-            (write_dimacs, parse_dimacs, formats._walk_dimacs, formats._DIMACS_SHAPE),
+             formats._EDGE_LIST_LAYOUT),
+            (write_dimacs, parse_dimacs, formats._walk_dimacs, formats._DIMACS_LAYOUT),
         ):
             text = write(g)
-            assert shape.fullmatch(text)
+            assert formats._edge_lines_start(text, layout) == text.index("\n") + 1
             assert _outcome(parse, text) == _outcome(walk, text)
             assert parse(text).adj == g.adj
 
@@ -310,9 +313,9 @@ class TestBulkRead:
     @given(graphs(), st.sets(st.sampled_from(
         ["comment", "blank", "crlf", "tab", "no-final-newline"]), min_size=1))
     def test_other_layouts_take_the_line_walk(self, g, variants):
-        for write, parse, shape, comment in (
-            (write_edge_list, parse_edge_list, formats._EDGE_LIST_SHAPE, "# x"),
-            (write_dimacs, parse_dimacs, formats._DIMACS_SHAPE, "c x"),
+        for write, parse, layout, comment in (
+            (write_edge_list, parse_edge_list, formats._EDGE_LIST_LAYOUT, "# x"),
+            (write_dimacs, parse_dimacs, formats._DIMACS_LAYOUT, "c x"),
         ):
             lines = write(g).splitlines()
             if "comment" in variants:
@@ -327,17 +330,17 @@ class TestBulkRead:
                 text += eol
             if text == write(g):  # a blank line and no final newline: the writer's layout
                 continue
-            assert not shape.fullmatch(text)
+            assert not formats._edge_lines_start(text, layout)
             assert parse(text) == g
 
     @given(near_writer_text(dimacs=False))
     def test_edge_list_bulk_falls_back_on_bad_counts(self, text):
-        assert formats._EDGE_LIST_SHAPE.fullmatch(text)
+        assert formats._edge_lines_start(text, formats._EDGE_LIST_LAYOUT)
         assert _outcome(parse_edge_list, text) == _outcome(formats._walk_edge_list, text)
 
     @given(near_writer_text(dimacs=True))
     def test_dimacs_bulk_falls_back_on_bad_counts(self, text):
-        assert formats._DIMACS_SHAPE.fullmatch(text)
+        assert formats._edge_lines_start(text, formats._DIMACS_LAYOUT)
         assert _outcome(parse_dimacs, text) == _outcome(formats._walk_dimacs, text)
 
 
@@ -349,6 +352,39 @@ _FUZZ_TEXT = st.one_of(
                                            "\u0661", "4000000000", LONG_ID]),
     ).map("".join),
 )
+
+
+# the writers' layouts as whole-text patterns: a plain statement of what the
+# two-pattern layout check accepts, fine for short texts
+_LAYOUT_REFERENCE = (
+    (formats._EDGE_LIST_LAYOUT, re.compile(r"n [0-9]+\n(?:[0-9]+ [0-9]+\n)*")),
+    (formats._DIMACS_LAYOUT, re.compile(r"p edge [0-9]+ [0-9]+\n(?:e [0-9]+ [0-9]+\n)*")),
+)
+
+
+@given(st.one_of(_FUZZ_TEXT, near_writer_text(dimacs=False), near_writer_text(dimacs=True),
+                 st.tuples(near_writer_text(dimacs=False), _FUZZ_TEXT).map("".join),
+                 st.tuples(near_writer_text(dimacs=True), _FUZZ_TEXT).map("".join)))
+def test_layout_check_matches_its_whole_text_pattern(text):
+    for layout, reference in _LAYOUT_REFERENCE:
+        start = formats._edge_lines_start(text, layout)
+        whole = reference.fullmatch(text)
+        assert bool(start) == bool(whole)
+        if whole:
+            assert start == text.index("\n") + 1
+
+
+def test_bad_id_in_writer_layout_allocates_no_adjacency():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="^line 2: "):
+            parse_edge_list(f"n {MAX_VERTICES}\n0 {MAX_VERTICES}\n")
+        with pytest.raises(ParseError, match="^line 2: "):
+            parse_dimacs(f"p edge {MAX_VERTICES} 1\ne 1 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @given(_FUZZ_TEXT)

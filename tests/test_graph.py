@@ -55,6 +55,16 @@ class TestBuildGraph:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_endpoint_out_of_range_allocates_no_adjacency(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=r"edge 1 .*\(0, -1\)"):
+                build_graph(MAX_VERTICES, [(0, 1), (0, -1)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @given(graphs())
     def test_adjacency_length_sum(self, g):
         loops = sum(1 for u, v in g.pairs if u == v)
