@@ -9,9 +9,11 @@ takes a genuinely different route:
   spanning subgraph, flipping whole components to repair side clashes.
 * ``check_dsu_parity``       tracks side parity between every vertex and its
   union-find root; an edge joining same-parity vertices in one tree is odd.
-* ``check_forest_recolor``   colors a spanning forest by peeling leaves, then
-  re-examines the leftover edges; a clash yields the fundamental cycle, the
-  tree path read off the forest's BFS parents plus the clashing edge.
+* ``check_forest_recolor``   colors a BFS spanning forest by peeling its
+  smallest leaf, one linear scan over the degrees and neighbor XORs the BFS
+  recorded, then re-examines the leftover edges; a clash yields the
+  fundamental cycle, the tree path read off the forest's BFS parents plus
+  the clashing edge.
 
 All four process edges (and seed vertices) in id order, so their output is a
 pure function of the input graph.  ``run_instrumented`` certifies loops in
@@ -23,9 +25,7 @@ a masked BFS over the graph's own adjacency, forest walks tree parents.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Iterable
 
 from .certificates import (
     Bipartition,
@@ -35,8 +35,6 @@ from .certificates import (
 )
 from .errors import InputError, InternalInvariantError
 from .graph import Graph, bfs_path
-
-ALGORITHM_NAMES = ("growth", "flip", "dsu", "forest")
 
 
 def _loop_certificate(g: Graph) -> OddCycle | None:
@@ -204,58 +202,36 @@ def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
     return CheckOutcome(bipartition=Bipartition(list(side))), unions
 
 
-def _peel(n: int, pairs: list[tuple[int, int]], eids: Iterable[int]) -> list[int]:
-    """Two-color the forest of edges ``pairs[e]``, e in ``eids``, by peeling.
+def _peel(deg: list[int], nbrs: list[int]) -> list[int]:
+    """Two-color a forest by peeling its smallest leaf.
 
-    Each step removes the smallest-id vertex of minimum degree (always 0 or
-    1 in a forest), recording its surviving neighbor if any; the coloring
-    is rebuilt in reverse removal order, isolated-at-removal vertices
-    landing on side 0.  Vertices of degree 0 and 1 wait in two integer
-    heaps; an entry whose vertex has since been removed or lost degree is
-    stale and skipped.  ``nbrs[v]`` is the XOR of v's surviving neighbors,
-    so at degree 1 it is that neighbor: no adjacency is needed.
+    ``deg[v]`` is v's forest degree and ``nbrs[v]`` the XOR of its forest
+    neighbors; the scan consumes both.  It is the linear Prüfer-order scan:
+    a pointer walks the ids upward, removing each leaf it meets, and a
+    removal that turns a smaller neighbor into a leaf removes that neighbor
+    next.  At degree 1 ``nbrs[v]`` is v's one surviving neighbor, and it
+    keeps naming the neighbor v was peeled from.  Smallest-leaf order never
+    removes a tree's max-id vertex while two or more of its vertices remain,
+    so that vertex is left over on side 0, and the coloring is rebuilt in
+    reverse removal order.  A degree left above 0 means a cycle.
     """
-    deg = [0] * n
-    nbrs = [0] * n
-    for e in eids:
-        u, v = pairs[e]
-        deg[u] += 1
-        deg[v] += 1
-        nbrs[u] ^= v
-        nbrs[v] ^= u
-    # ascending lists already satisfy the heap invariant
-    zero = [v for v in range(n) if deg[v] == 0]
-    one = [v for v in range(n) if deg[v] == 1]
-    removed = bytearray(n)
     order: list[int] = []
-    rec_neighbor = [-1] * n
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-    while len(order) < n:
-        if zero:
-            v = heappop(zero)
-        else:
-            while one:
-                v = heappop(one)
-                if not removed[v] and deg[v] == 1:
-                    break
-            else:
-                raise InternalInvariantError("BFS forest contains a cycle")
+    for i in range(len(deg)):
+        v = i
+        while deg[v] == 1:
+            deg[v] = 0
+            order.append(v)
             w = nbrs[v]
-            rec_neighbor[v] = w
             nbrs[w] ^= v
-            d = deg[w] - 1
-            deg[w] = d
-            if d == 0:
-                heappush(zero, w)
-            elif d == 1:
-                heappush(one, w)
-        removed[v] = 1
-        order.append(v)
-    side = [0] * n
+            deg[w] -= 1
+            if w > i:
+                break
+            v = w
+    if any(deg):
+        raise InternalInvariantError("BFS forest contains a cycle")
+    side = [0] * len(deg)
     for v in reversed(order):
-        w = rec_neighbor[v]
-        side[v] = 0 if w < 0 else side[w] ^ 1
+        side[v] = side[nbrs[v]] ^ 1
     return side
 
 
@@ -267,6 +243,8 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
     is_tree = bytearray(g.m)
     up = [-1] * n  # each vertex's tree edge to its BFS parent; -1 at a root
     depth = [0] * n
+    deg = [0] * n  # forest degree
+    nbrs = [0] * n  # XOR of forest neighbors
     for seed in range(n):
         if visited[seed]:
             continue
@@ -281,8 +259,12 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
                     is_tree[eid] = 1
                     up[nbr] = eid
                     depth[nbr] = below
+                    deg[x] += 1
+                    deg[nbr] = 1
+                    nbrs[x] ^= nbr
+                    nbrs[nbr] = x
                     queue.append(nbr)
-    side = _peel(n, pairs, (e for e in up if e >= 0))
+    side = _peel(deg, nbrs)
     examined = 0
     for eid, (a, b) in enumerate(pairs):
         if is_tree[eid]:
@@ -344,6 +326,7 @@ _CHECKERS = {
     "dsu": _dsu_parity,
     "forest": _forest_recolor,
 }
+ALGORITHM_NAMES = tuple(_CHECKERS)
 
 
 def run_instrumented(g: Graph, algorithm: str) -> tuple[CheckOutcome, int]:

@@ -204,6 +204,8 @@ def _bench_spec(kind: str, n: int, m: int, seed: int, cycle_len: int) -> GenSpec
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.repeat < 1:
+        raise InputError(f"--repeat must be at least 1, got {args.repeat}")
     sizes: list[tuple[int, int]] = []
     for token in args.sizes:
         parts = token.split(",")

@@ -7,8 +7,11 @@ before being pinned.
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import bicert.checkers as checkers
 from bicert import (
@@ -185,7 +188,56 @@ def peel(g):
     return check_forest_recolor(g).bipartition
 
 
+@st.composite
+def bipartite_graphs_and_forests(draw, max_n: int = 12):
+    """Forests with shuffled ids and edge order, or bipartite multigraphs."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    if draw(st.booleans()):
+        ids = draw(st.permutations(range(n)))
+        parents = [draw(st.one_of(st.none(), st.integers(0, v - 1))) for v in range(1, n)]
+        pairs = [(ids[v], ids[p]) for v, p in enumerate(parents, 1) if p is not None]
+        return build_graph(n, draw(st.permutations(pairs)))
+    side = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    left = [v for v in range(n) if side[v] == 0]
+    right = [v for v in range(n) if side[v] == 1]
+    if not left or not right:
+        return build_graph(n, [])
+    edge = st.tuples(st.sampled_from(left), st.sampled_from(right), st.booleans())
+    pairs = [(b, a) if swap else (a, b) for a, b, swap in draw(st.lists(edge, max_size=24))]
+    return build_graph(n, pairs)
+
+
+def distance_parity_to_component_max(g):
+    """Each vertex's graph-distance parity to the max-id vertex of its component."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    parity = [None] * g.n
+    for root in reversed(range(g.n)):  # larger ids already sit in their components
+        if parity[root] is not None:
+            continue
+        parity[root] = 0
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if parity[y] is None:
+                    parity[y] = parity[x] ^ 1
+                    queue.append(y)
+    return parity
+
+
 class TestLeafPeel:
+    @given(bipartite_graphs_and_forests())
+    def test_side_is_distance_parity_to_the_component_max(self, g):
+        assert peel(g).side == distance_parity_to_component_max(g)
+
+    def test_cycle_left_after_the_scan_is_an_invariant_error(self):
+        # a triangle's degrees and neighbor XORs: no vertex is ever a leaf
+        with pytest.raises(InternalInvariantError, match="cycle"):
+            checkers._peel([2, 2, 2], [1 ^ 2, 0 ^ 2, 0 ^ 1])
+
     def test_path_forced_alternation(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         assert peel(g).side == [0, 1, 0]

@@ -367,6 +367,15 @@ class TestBench:
                          "--seeds", "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("repeat", ["0", "-1"])
+    def test_repeat_below_one_is_usage_error(self, repeat, capsys):
+        code = cli.main(["bench", "--kinds", "random", "--sizes", "10,10",
+                         "--seeds", "1", "--repeat", repeat])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --repeat")
+
     def test_stable_apart_from_timing(self, capsys):
         argv = ["bench", "--kinds", "forest", "--sizes", "12,0", "--seeds", "4"]
         _, first = self.run(argv, capsys)
