@@ -77,7 +77,7 @@ def verify_bipartition(g: Graph, bp: Bipartition) -> bool:
     for s in side:
         if s != 0 and s != 1:
             raise InputError(f"side values must be 0 or 1, got {s!r}")
-    for u, v in g.pairs:
+    for u, v in g.edges():
         if side[u] == side[v]:
             return False
     return True
@@ -97,11 +97,12 @@ def verify_odd_cycle(g: Graph, cycle: OddCycle) -> bool:
     if len(set(verts)) != k:
         return False
     m = g.m
+    ends = g.ends
     for i, eid in enumerate(cycle.edge_ids):
         if not isinstance(eid, int) or not (0 <= eid < m):
             return False
         a, b = verts[i], verts[(i + 1) % k]
-        u, v = g.pairs[eid]
+        u, v = ends[2 * eid], ends[2 * eid + 1]
         if (u, v) != (a, b) and (u, v) != (b, a):
             return False
     return True

@@ -16,15 +16,19 @@ takes a genuinely different route:
   the clashing edge.
 
 All four process edges (and seed vertices) in id order, so their output is a
-pure function of the input graph.  ``run_instrumented`` certifies loops in
-a pre-pass as length-1 odd cycles before any checker runs.  ``check``
-dispatches by name and re-verifies the result before returning it.
-Certificate extraction searches only the region it needs: flip and dsu run
-a masked BFS over the graph's own adjacency, forest walks tree parents.
+pure function of the input graph.  flip and dsu stream the edges off
+``Graph.ends``; growth and forest scan each vertex's neighbors by index
+range in the graph's CSR adjacency, which the first of them to run builds.
+``run_instrumented`` certifies loops in a pre-pass as length-1 odd cycles
+before any checker runs.  ``check`` dispatches by name and re-verifies the
+result before returning it.  Certificate extraction searches only the
+region it needs: flip and dsu run a masked BFS over the CSR adjacency
+(building it if no checker has), forest walks tree parents.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 from .certificates import (
@@ -41,12 +45,12 @@ def _loop_certificate(g: Graph) -> OddCycle | None:
     eid = g.first_loop
     if eid is None:
         return None
-    return OddCycle([g.pairs[eid][0]], [eid])
+    return OddCycle([g.ends[2 * eid]], [eid])
 
 
 def _closed_by(g: Graph, kept: bytes | bytearray, a: int, b: int, eid: int) -> CheckOutcome:
     """Odd cycle: the even a..b path over edges with ``kept[id]`` set, then edge ``eid``."""
-    path = bfs_path(g.adj, a, b, edge_ok=kept)
+    path = bfs_path(g, a, b, edge_ok=kept)
     if path is None:
         raise InternalInvariantError("certificate endpoints not connected")
     return CheckOutcome(odd_cycle=OddCycle(path.vertices, path.edge_ids + [eid]))
@@ -54,7 +58,7 @@ def _closed_by(g: Graph, kept: bytes | bytearray, a: int, b: int, eid: int) -> C
 
 def _growth(g: Graph) -> tuple[CheckOutcome, int]:
     n = g.n
-    adj = g.adj
+    off, nbr, eids = g.csr()
     side = [0] * n
     member = bytearray(n)
     absorbed = 0
@@ -63,35 +67,37 @@ def _growth(g: Graph) -> tuple[CheckOutcome, int]:
             continue
         member[seed] = 1
         absorbed += 1
-        queue = deque(nbr for nbr, _ in adj[seed])
+        queue = deque(nbr[off[seed]:off[seed + 1]])
         while queue:
             z = queue.popleft()
             if member[z]:
                 continue
-            first_zero: tuple[int, int] | None = None
-            first_one: tuple[int, int] | None = None
-            for nbr, eid in adj[z]:
-                if member[nbr]:
-                    if side[nbr] == 0:
+            lo, hi = off[z], off[z + 1]
+            # CSR positions of z's first entries to a grown vertex on each side
+            first_zero: int | None = None
+            first_one: int | None = None
+            for j in range(lo, hi):
+                y = nbr[j]
+                if member[y]:
+                    if side[y] == 0:
                         if first_zero is None:
-                            first_zero = (nbr, eid)
+                            first_zero = j
                     elif first_one is None:
-                        first_one = (nbr, eid)
+                        first_one = j
             if first_zero is not None and first_one is not None:
-                x0, e0 = first_zero
-                x1, e1 = first_one
-                path = bfs_path(adj, x0, x1, vertex_ok=member)
+                path = bfs_path(g, nbr[first_zero], nbr[first_one], vertex_ok=member)
                 assert path is not None  # grown subgraph is connected
                 cyc_v = path.vertices + [z]
-                cyc_e = path.edge_ids + [e1, e0]
+                cyc_e = path.edge_ids + [eids[first_one], eids[first_zero]]
                 return CheckOutcome(odd_cycle=OddCycle(cyc_v, cyc_e)), absorbed
             # every queued vertex has a grown neighbor, so one side is set
             side[z] = 1 if first_zero is not None else 0
             member[z] = 1
             absorbed += 1
-            for nbr, _ in adj[z]:
-                if not member[nbr]:
-                    queue.append(nbr)
+            for j in range(lo, hi):
+                y = nbr[j]
+                if not member[y]:
+                    queue.append(y)
     return CheckOutcome(bipartition=Bipartition(side)), absorbed
 
 
@@ -103,7 +109,7 @@ def _incremental_flip(g: Graph) -> tuple[CheckOutcome, int]:
     flips = 0
     # every edge before a clash is accepted: each branch below merges,
     # skips a redundant edge, or returns
-    for eid, (a, b) in enumerate(g.pairs):
+    for eid, (a, b) in enumerate(g.edges()):
         ca = comp_id[a]
         cb = comp_id[b]
         if side[a] != side[b]:
@@ -137,7 +143,7 @@ def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
     par = bytearray(n)  # parity of each vertex relative to its parent
     in_forest = bytearray(g.m)  # edge ids that performed unions
     unions = 0
-    for eid, (a, b) in enumerate(g.pairs):
+    for eid, (a, b) in enumerate(g.edges()):
         ra = a
         pa = 0
         w = parent[ra]
@@ -237,8 +243,7 @@ def _peel(deg: list[int], nbrs: list[int]) -> list[int]:
 
 def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
     n = g.n
-    adj = g.adj
-    pairs = g.pairs
+    off, nbr, eids = g.csr()
     visited = bytearray(n)
     is_tree = bytearray(g.m)
     up = [-1] * n  # each vertex's tree edge to its BFS parent; -1 at a root
@@ -253,30 +258,32 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
         while queue:
             x = queue.popleft()
             below = depth[x] + 1
-            for nbr, eid in adj[x]:
-                if not visited[nbr]:
-                    visited[nbr] = 1
+            for j in range(off[x], off[x + 1]):
+                y = nbr[j]
+                if not visited[y]:
+                    visited[y] = 1
+                    eid = eids[j]
                     is_tree[eid] = 1
-                    up[nbr] = eid
-                    depth[nbr] = below
+                    up[y] = eid
+                    depth[y] = below
                     deg[x] += 1
-                    deg[nbr] = 1
-                    nbrs[x] ^= nbr
-                    nbrs[nbr] = x
-                    queue.append(nbr)
+                    deg[y] = 1
+                    nbrs[x] ^= y
+                    nbrs[y] = x
+                    queue.append(y)
     side = _peel(deg, nbrs)
     examined = 0
-    for eid, (a, b) in enumerate(pairs):
+    for eid, (a, b) in enumerate(g.edges()):
         if is_tree[eid]:
             continue
         examined += 1
         if side[a] == side[b]:
-            return CheckOutcome(odd_cycle=_tree_cycle(pairs, up, depth, a, b, eid)), examined
+            return CheckOutcome(odd_cycle=_tree_cycle(g.ends, up, depth, a, b, eid)), examined
     return CheckOutcome(bipartition=Bipartition(side)), examined
 
 
 def _tree_cycle(
-    pairs: list[tuple[int, int]], up: list[int], depth: list[int], a: int, b: int, eid: int
+    ends: array, up: list[int], depth: list[int], a: int, b: int, eid: int
 ) -> OddCycle:
     """The tree path a..b, found by climbing both ends to their meeting vertex, then ``eid``."""
     a_verts, a_eids = [a], []
@@ -284,14 +291,12 @@ def _tree_cycle(
     while a != b:
         if depth[a] >= depth[b]:
             e = up[a]
-            u, v = pairs[e]
-            a = u ^ v ^ a
+            a ^= ends[2 * e] ^ ends[2 * e + 1]
             a_verts.append(a)
             a_eids.append(e)
         else:
             e = up[b]
-            u, v = pairs[e]
-            b = u ^ v ^ b
+            b ^= ends[2 * e] ^ ends[2 * e + 1]
             b_verts.append(b)
             b_eids.append(e)
     b_verts.pop()  # the meeting vertex ends a_verts already

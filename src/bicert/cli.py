@@ -152,14 +152,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     g = _PARSERS[args.format](text)
     algos = ALGORITHM_NAMES if args.algo == "all" else (args.algo,)
     runs = _certified_runs(g, algos)
-    reports = [_report(g, name, outcome, elapsed, args.timing)
-               for name, (outcome, _, elapsed) in zip(algos, runs)]
+    # built one at a time as they are written, so one report is alive at once
+    reports = (_report(g, name, outcome, elapsed, args.timing)
+               for name, (outcome, _, elapsed) in zip(algos, runs))
     first = runs[0][0]
     if args.dot:
         Path(args.dot).write_text(write_dot(g, first))
     with _reader_may_leave():
-        if args.json:
-            print(_json_text(reports))
+        if args.json:  # the bytes of print(_json_text(list(reports)))
+            write = sys.stdout.write
+            opening = "[\n  "
+            for report in reports:
+                write(opening + _json_text(report, "\n  "))
+                opening = ",\n  "
+            write("\n]\n")
         else:
             for report in reports:
                 print(_render(report))

@@ -157,7 +157,7 @@ def _walk_edge_list(text: str) -> Graph:
 def write_edge_list(g: Graph) -> str:
     """Serialize with an ``n`` header so isolated vertices round-trip."""
     lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.pairs)
+    lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
 
@@ -223,7 +223,7 @@ def _walk_dimacs(text: str) -> Graph:
 
 def write_dimacs(g: Graph) -> str:
     lines = [f"p edge {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.pairs)
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
 
@@ -244,12 +244,12 @@ def write_dot(g: Graph, outcome: CheckOutcome) -> str:
             lines.append(
                 f'  {v} [style=filled, fillcolor="{_SIDE_COLORS[side[v]]}"];'
             )
-        lines.extend(f"  {u} -- {v};" for u, v in g.pairs)
+        lines.extend(f"  {u} -- {v};" for u, v in g.edges())
     else:
         in_cycle = set(outcome.odd_cycle.edge_ids)
         for v in range(g.n):
             lines.append(f"  {v};")
-        for eid, (u, v) in enumerate(g.pairs):
+        for eid, (u, v) in enumerate(g.edges()):
             if eid in in_cycle:
                 lines.append(f"  {u} -- {v} [color=red, penwidth=2.0];")
             else:

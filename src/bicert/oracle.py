@@ -72,7 +72,9 @@ def find_odd_cycle_exhaustive(g: Graph) -> OddCycle | None:
     """
     _guard(g, MAX_CYCLE_SEARCH_VERTICES, "cycle enumeration")
     n = g.n
-    adj_sorted = [sorted(g.adj[x]) for x in range(n)]
+    off, nbrs, eids = g.csr()
+    adj_sorted = [sorted(zip(nbrs[off[x]:off[x + 1]], eids[off[x]:off[x + 1]]))
+                  for x in range(n)]
     loop_at: dict[int, int] = {}
     for eid, (u, v) in enumerate(g.pairs):
         if u == v and u not in loop_at:

@@ -7,6 +7,12 @@ from hypothesis import strategies as st
 from bicert import Graph, build_graph
 
 
+def adjacency(g: Graph, x: int) -> list[tuple[int, int]]:
+    """x's ``(neighbor, edge id)`` entries, read off the graph's CSR."""
+    off, nbr, eid = g.csr()
+    return list(zip(nbr[off[x]:off[x + 1]], eid[off[x]:off[x + 1]]))
+
+
 def triangle() -> Graph:
     return build_graph(3, [(0, 1), (1, 2), (2, 0)])
 

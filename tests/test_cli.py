@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import bicert.cli as cli
 from bicert import ALGORITHM_NAMES, Bipartition, CheckOutcome, OddCycle, build_graph
 from bicert.checkers import run_instrumented
+from bicert.formats import parse_edge_list
 from conftest import graphs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -101,6 +102,18 @@ class TestCheckExitCodes:
         assert cli.main(["check", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: line {line}: vertex id of 5000 digits is too long\n"
+
+    @pytest.mark.parametrize("fmt, text, message", [
+        ("edgelist", "n 5\n0 99999999999999999999\n",
+         "line 2: vertex id exceeds declared count 5: 0 99999999999999999999"),
+        ("dimacs", "p edge 5 1\ne 1 99999999999999999999\n",
+         "line 2: vertex ids must lie in [1, 5]: 1 99999999999999999999"),
+    ], ids=["edgelist", "dimacs"])
+    def test_id_past_a_64_bit_slot_is_two(self, fmt, text, message, tmp_path, capsys):
+        path = tmp_path / "wide.txt"
+        path.write_text(text)
+        assert cli.main(["check", str(path), "--format", fmt]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_non_utf8_file_is_two(self, tmp_path, capsys):
         path = tmp_path / "bytes.txt"
@@ -486,6 +499,17 @@ class TestJsonWriter:
             reports = [cli._report(g, name, run_instrumented(g, name)[0], 12, timing)
                        for name in ALGORITHM_NAMES]
             assert cli._json_text(reports) == json.dumps(reports, indent=2)
+
+    @pytest.mark.parametrize("algo", ["all", *ALGORITHM_NAMES])
+    @pytest.mark.parametrize("path_fixture", ["even_file", "odd_file"])
+    def test_check_writes_what_json_dumps_writes(self, algo, path_fixture, request, capsys):
+        path = request.getfixturevalue(path_fixture)
+        g = parse_edge_list(Path(path).read_text())
+        names = ALGORITHM_NAMES if algo == "all" else (algo,)
+        reports = [cli._report(g, name, run_instrumented(g, name)[0], 0, False)
+                   for name in names]
+        cli.main(["check", path, "--json", "--algo", algo])
+        assert capsys.readouterr().out == json.dumps(reports, indent=2) + "\n"
 
     @pytest.mark.parametrize("value", [
         [], {}, "x\u00e9\"\n", 7, [True, 1], [1.5], [[], [1, [2]], {}], {"k": None},

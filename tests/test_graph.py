@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given
 
 from bicert import (
+    GenSpec,
     InputError,
     build_graph,
     connected_components,
     find_path,
+    generate,
     simplify,
 )
 from bicert.graph import MAX_VERTICES
-from conftest import four_cycle, graphs, triangle
+from conftest import adjacency, four_cycle, graphs, triangle
 
 
 class TestBuildGraph:
@@ -27,11 +29,11 @@ class TestBuildGraph:
 
     def test_loop_adjacency_entry_is_single(self):
         g = build_graph(1, [(0, 0)])
-        assert g.adj[0] == [(0, 0)]
+        assert adjacency(g, 0) == [(0, 0)]
 
     def test_parallel_edges_have_distinct_ids(self):
         g = build_graph(2, [(0, 1), (0, 1)])
-        assert g.adj[0] == [(1, 0), (1, 1)]
+        assert adjacency(g, 0) == [(1, 0), (1, 1)]
 
     def test_endpoint_out_of_range_names_pair(self):
         with pytest.raises(InputError, match=r"\(0, 5\)"):
@@ -69,7 +71,65 @@ class TestBuildGraph:
     def test_adjacency_length_sum(self, g):
         loops = sum(1 for u, v in g.pairs if u == v)
         non_loops = g.m - loops
-        assert sum(len(g.adj[v]) for v in range(g.n)) == 2 * non_loops + loops
+        assert sum(len(adjacency(g, v)) for v in range(g.n)) == 2 * non_loops + loops
+
+    @pytest.mark.parametrize("pairs, eid", [
+        ([(0, 1, 2)], 0),
+        ([(0, 1), (0, 1, 2), (3,)], 1),  # flattened, it would read as 3 edges
+        ([(0, 1), 5], 1),
+        ([(0.5, 1)], 0),
+    ])
+    def test_malformed_pair_names_its_edge(self, pairs, eid):
+        with pytest.raises(InputError, match=rf"^edge {eid} is not a pair of integers"):
+            build_graph(4, pairs)
+
+    def test_id_past_a_64_bit_slot_names_pair(self):
+        with pytest.raises(InputError, match=rf"^edge 0 endpoint pair \(0, {2**70}\)"):
+            build_graph(5, [(0, 2**70)])
+
+    def test_first_bad_pair_is_named_before_an_oversized_one(self):
+        with pytest.raises(InputError, match=r"^edge 1 endpoint pair \(0, 9\)"):
+            build_graph(5, [(0, 1), (0, 9), (-(2**70), 0)])
+
+    @given(graphs())
+    def test_pairs_and_edges_read_back_the_input(self, g):
+        assert build_graph(g.n, g.pairs) == g
+        assert list(g.edges()) == g.pairs
+        assert len(g.ends) == 2 * g.m
+
+
+class TestCsr:
+    @given(graphs())
+    def test_matches_a_reference_built_from_pairs(self, g):
+        # edge-id order at each vertex, a loop once, parallel edges apart
+        ref = [[] for _ in range(g.n)]
+        for eid, (u, v) in enumerate(g.pairs):
+            ref[u].append((v, eid))
+            if u != v:
+                ref[v].append((u, eid))
+        off, nbr, eid = g.csr()
+        assert len(off) == g.n + 1 and off[0] == 0
+        assert off[-1] == len(nbr) == len(eid)
+        assert [adjacency(g, x) for x in range(g.n)] == ref
+
+    def test_built_on_first_use_and_kept(self):
+        g = build_graph(3, [(0, 1), (1, 2), (2, 2)])
+        assert g._csr is None
+        assert g.csr() is g.csr()
+
+    def test_build_and_csr_keep_64_bytes_per_edge(self):
+        spec = GenSpec(kind="planted_bipartite", n_left=25_000, n_right=25_000,
+                       m=100_000, seed=8)
+        pairs = generate(spec).pairs
+        tracemalloc.start()
+        try:
+            g = build_graph(50_000, pairs)
+            g.csr()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 64 * len(pairs)
+        assert peak <= 80 * len(pairs)
 
 
 class TestSimplify:

@@ -23,7 +23,7 @@ from bicert import (
     verify_odd_cycle,
     verify_outcome,
 )
-from conftest import graphs
+from conftest import adjacency, graphs
 
 
 @given(graphs())
@@ -156,7 +156,7 @@ def _bfs_forest_edges(g):
         depth[seed] = 0
         queue = [seed]
         for x in queue:
-            for nbr, eid in g.adj[x]:
+            for nbr, eid in adjacency(g, x):
                 if depth[nbr] < 0:
                     depth[nbr] = depth[x] + 1
                     tree.add(eid)
