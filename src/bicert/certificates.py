@@ -21,12 +21,6 @@ class Bipartition:
 
     side: list[int]
 
-    def sides(self) -> tuple[list[int], list[int]]:
-        """Vertex lists (side 0, side 1), each in ascending order."""
-        zero = [v for v, s in enumerate(self.side) if s == 0]
-        one = [v for v, s in enumerate(self.side) if s == 1]
-        return zero, one
-
 
 @dataclass(frozen=True)
 class OddCycle:

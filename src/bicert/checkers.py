@@ -24,6 +24,13 @@ before any checker runs.  ``check`` dispatches by name and re-verifies the
 result before returning it.  Certificate extraction searches only the
 region it needs: flip and dsu run a masked BFS over the CSR adjacency
 (building it if no checker has), forest walks tree parents.
+
+Per-vertex state is flat: bytearrays for flags and sides, ``array('q')``
+for ids, parents and counts.  flip keeps each component as an array linked
+list (``next`` per vertex; ``tail`` and ``size`` per component id, which is
+the component's first member), so merging two components is an O(1) splice
+after the smaller one is walked.  The only per-vertex Python list a checker
+builds is the ``Bipartition`` it returns.
 """
 
 from __future__ import annotations
@@ -104,8 +111,12 @@ def _growth(g: Graph) -> tuple[CheckOutcome, int]:
 def _incremental_flip(g: Graph) -> tuple[CheckOutcome, int]:
     n = g.n
     side = bytearray(n)
-    comp_id = list(range(n))
-    members: list[list[int] | None] = [[v] for v in range(n)]
+    # components are linked lists of their members; a component's id is its
+    # first member, and only an id's tail and size slots are meaningful
+    comp_id = array("q", range(n))
+    nxt = array("q", [-1]) * n  # the next member of v's component, -1 at its tail
+    tail = array("q", range(n))
+    size = array("q", [1]) * n
     flips = 0
     # every edge before a clash is accepted: each branch below merges,
     # skips a redundant edge, or returns
@@ -115,30 +126,33 @@ def _incremental_flip(g: Graph) -> tuple[CheckOutcome, int]:
         if side[a] != side[b]:
             if ca == cb:
                 continue
-            small, big = (ca, cb) if len(members[ca]) <= len(members[cb]) else (cb, ca)
-            for v in members[small]:
+            small, big = (ca, cb) if size[ca] <= size[cb] else (cb, ca)
+            v = small
+            while v != -1:
                 comp_id[v] = big
-            members[big].extend(members[small])
-            members[small] = None
-            continue
-        if ca == cb:
+                v = nxt[v]
+        elif ca == cb:
             # same side inside one component: even path + this edge
             kept = b"\x01" * eid + bytes(g.m - eid)
             return _closed_by(g, kept, a, b, eid), flips
-        # same side, distinct components: flip the smaller, ties toward a
-        small, big = (ca, cb) if len(members[ca]) <= len(members[cb]) else (cb, ca)
-        for v in members[small]:
-            side[v] ^= 1
-            comp_id[v] = big
-        members[big].extend(members[small])
-        members[small] = None
-        flips += 1
+        else:
+            # same side, distinct components: flip the smaller, ties toward a
+            small, big = (ca, cb) if size[ca] <= size[cb] else (cb, ca)
+            v = small
+            while v != -1:
+                side[v] ^= 1
+                comp_id[v] = big
+                v = nxt[v]
+            flips += 1
+        nxt[tail[big]] = small
+        tail[big] = tail[small]
+        size[big] += size[small]
     return CheckOutcome(bipartition=Bipartition(list(side))), flips
 
 
 def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
     n = g.n
-    parent = list(range(n))
+    parent = array("q", range(n))
     rank = bytearray(n)
     par = bytearray(n)  # parity of each vertex relative to its parent
     in_forest = bytearray(g.m)  # edge ids that performed unions
@@ -208,7 +222,7 @@ def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
     return CheckOutcome(bipartition=Bipartition(list(side))), unions
 
 
-def _peel(deg: list[int], nbrs: list[int]) -> list[int]:
+def _peel(deg: array, nbrs: array) -> list[int]:
     """Two-color a forest by peeling its smallest leaf.
 
     ``deg[v]`` is v's forest degree and ``nbrs[v]`` the XOR of its forest
@@ -221,7 +235,7 @@ def _peel(deg: list[int], nbrs: list[int]) -> list[int]:
     so that vertex is left over on side 0, and the coloring is rebuilt in
     reverse removal order.  A degree left above 0 means a cycle.
     """
-    order: list[int] = []
+    order = array("q")
     for i in range(len(deg)):
         v = i
         while deg[v] == 1:
@@ -246,10 +260,9 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
     off, nbr, eids = g.csr()
     visited = bytearray(n)
     is_tree = bytearray(g.m)
-    up = [-1] * n  # each vertex's tree edge to its BFS parent; -1 at a root
-    depth = [0] * n
-    deg = [0] * n  # forest degree
-    nbrs = [0] * n  # XOR of forest neighbors
+    up = array("q", [-1]) * n  # each vertex's tree edge to its BFS parent; -1 at a root
+    deg = array("q", [0]) * n  # forest degree
+    nbrs = array("q", [0]) * n  # XOR of forest neighbors
     for seed in range(n):
         if visited[seed]:
             continue
@@ -257,7 +270,8 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
         queue = deque([seed])
         while queue:
             x = queue.popleft()
-            below = depth[x] + 1
+            kids = 0
+            kids_xor = 0
             for j in range(off[x], off[x + 1]):
                 y = nbr[j]
                 if not visited[y]:
@@ -265,12 +279,14 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
                     eid = eids[j]
                     is_tree[eid] = 1
                     up[y] = eid
-                    depth[y] = below
-                    deg[x] += 1
                     deg[y] = 1
-                    nbrs[x] ^= y
                     nbrs[y] = x
+                    kids += 1
+                    kids_xor ^= y
                     queue.append(y)
+            if kids:
+                deg[x] += kids
+                nbrs[x] ^= kids_xor
     side = _peel(deg, nbrs)
     examined = 0
     for eid, (a, b) in enumerate(g.edges()):
@@ -278,27 +294,40 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
             continue
         examined += 1
         if side[a] == side[b]:
-            return CheckOutcome(odd_cycle=_tree_cycle(g.ends, up, depth, a, b, eid)), examined
+            return CheckOutcome(odd_cycle=_tree_cycle(g.ends, up, a, b, eid)), examined
     return CheckOutcome(bipartition=Bipartition(side)), examined
 
 
-def _tree_cycle(
-    ends: array, up: list[int], depth: list[int], a: int, b: int, eid: int
-) -> OddCycle:
+def _depth(ends: array, up: array, v: int) -> int:
+    """The number of tree edges from ``v`` up to its root."""
+    d = 0
+    e = up[v]
+    while e != -1:
+        v ^= ends[2 * e] ^ ends[2 * e + 1]
+        e = up[v]
+        d += 1
+    return d
+
+
+def _tree_cycle(ends: array, up: array, a: int, b: int, eid: int) -> OddCycle:
     """The tree path a..b, found by climbing both ends to their meeting vertex, then ``eid``."""
     a_verts, a_eids = [a], []
     b_verts, b_eids = [b], []
+    a_depth = _depth(ends, up, a)
+    b_depth = _depth(ends, up, b)
     while a != b:
-        if depth[a] >= depth[b]:
+        if a_depth >= b_depth:
             e = up[a]
             a ^= ends[2 * e] ^ ends[2 * e + 1]
             a_verts.append(a)
             a_eids.append(e)
+            a_depth -= 1
         else:
             e = up[b]
             b ^= ends[2 * e] ^ ends[2 * e + 1]
             b_verts.append(b)
             b_eids.append(e)
+            b_depth -= 1
     b_verts.pop()  # the meeting vertex ends a_verts already
     b_verts.reverse()
     b_eids.reverse()

@@ -13,11 +13,15 @@ import csv
 import gc
 import json
 import os
+import re
 import sys
 import time
 import traceback
 from contextlib import contextmanager
+from itertools import chain, compress, count, islice
+from operator import not_
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .certificates import CheckOutcome, verify_outcome
 from .checkers import ALGORITHM_NAMES, run_instrumented
@@ -76,55 +80,79 @@ def _certified_runs(
     return runs
 
 
-def _report(g: Graph, algorithm: str, outcome: CheckOutcome, elapsed: int,
-            timing: bool) -> dict:
-    """One checker's answer on one graph, as ``--json`` prints it."""
-    report: dict = {"algorithm": algorithm, "verdict": outcome.branch, "n": g.n, "m": g.m}
-    if outcome.bipartition is not None:
-        side0, side1 = outcome.bipartition.sides()
-        report["sides"] = {"side0": side0, "side1": side1}
-    else:
-        report["cycle"] = list(outcome.odd_cycle.vertices)
-    if timing:
-        report["elapsed_ns"] = elapsed
-    return report
+# vertex ids joined per write: a side or cycle is written in runs of this
+# many, so no run of ``check`` holds a string or list of all n of them
+_RUN = 1 << 12
+
+_Write = Callable[[str], object]  # sys.stdout.write, say
 
 
-def _render(report: dict) -> str:
-    """The text form of one ``_report``."""
-    lines = [f"algorithm={report['algorithm']} verdict={report['verdict']}"
-             f" n={report['n']} m={report['m']}"]
-    for side, vertices in report.get("sides", {}).items():
-        lines.append(f"  {side}: " + " ".join(map(str, vertices)))
-    if "cycle" in report:
-        lines.append("  cycle: " + " ".join(map(str, report["cycle"])))
-    if "elapsed_ns" in report:
-        lines.append(f"  elapsed_ns: {report['elapsed_ns']}")
-    return "\n".join(lines)
+def _write_ids(write: _Write, ids: Iterator[int], sep: str) -> None:
+    """Write ``sep.join(map(str, ids))``, ``_RUN`` ids at a time."""
+    lead = ""
+    while run := sep.join(map(str, islice(ids, _RUN))):
+        write(lead)
+        write(run)
+        lead = sep
 
 
-def _json_text(value, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for str-keyed dicts, lists, strs and ints.
-
-    The same bytes, but a list of ints is written by one join over
-    ``map(str, ...)`` rather than by the pure-Python encoder that
-    ``indent`` selects.  ``pad`` is the newline and indent of ``value``'s
-    own level.
-    """
-    if not (isinstance(value, (dict, list)) and value):
-        return json.dumps(value)
+def _write_json_ids(write: _Write, ids: Iterator[int], pad: str) -> None:
+    """Write ``ids`` as ``json.dumps(list(ids), indent=2)`` would at the level ``pad``."""
+    first = next(ids, None)
+    if first is None:
+        write("[]")
+        return
     inner = pad + "  "
-    if isinstance(value, dict):
-        first, last = "{}"
-        items = (f"{json.dumps(key)}: {_json_text(item, inner)}"
-                 for key, item in value.items())
-    elif set(map(type, value)) == {int}:
-        first, last = "[]"
-        items = map(str, value)  # an int's JSON text is its str
+    write("[" + inner)
+    _write_ids(write, chain((first,), ids), "," + inner)
+    write(pad + "]")
+
+
+def _certificate_ids(outcome: CheckOutcome) -> list[tuple[str, Iterator[int]]]:
+    """The report's vertex lists, each read lazily off the certificate."""
+    if outcome.bipartition is None:
+        return [("cycle", iter(outcome.odd_cycle.vertices))]
+    side = outcome.bipartition.side
+    return [("side0", compress(count(), map(not_, side))), ("side1", compress(count(), side))]
+
+
+def _write_text(write: _Write, g: Graph, algorithm: str, outcome: CheckOutcome,
+                elapsed: int, timing: bool) -> None:
+    """One checker's answer on one graph, as the text report."""
+    write(f"algorithm={algorithm} verdict={outcome.branch} n={g.n} m={g.m}\n")
+    for label, ids in _certificate_ids(outcome):
+        write(f"  {label}: ")
+        _write_ids(write, ids, " ")
+        write("\n")
+    if timing:
+        write(f"  elapsed_ns: {elapsed}\n")
+
+
+def _write_json(write: _Write, g: Graph, algorithm: str, outcome: CheckOutcome,
+                elapsed: int, timing: bool) -> None:
+    """One checker's answer on one graph, as an item of the ``--json`` list.
+
+    The bytes are those ``json.dumps(reports, indent=2)`` gives the report
+    dict: ``algorithm``, ``verdict``, ``n``, ``m``, then ``sides`` (with
+    ``side0`` and ``side1``) or ``cycle``, then ``elapsed_ns`` if ``timing``.
+    """
+    write(f'{{\n    "algorithm": {json.dumps(algorithm)},'
+          f'\n    "verdict": {json.dumps(outcome.branch)},'
+          f'\n    "n": {g.n},\n    "m": {g.m},\n    ')
+    if outcome.bipartition is None:
+        write('"cycle": ')
+        _write_json_ids(write, iter(outcome.odd_cycle.vertices), "\n    ")
     else:
-        first, last = "[]"
-        items = (_json_text(item, inner) for item in value)
-    return first + inner + ("," + inner).join(items) + pad + last
+        write('"sides": {')
+        lead = "\n      "
+        for label, ids in _certificate_ids(outcome):
+            write(f'{lead}"{label}": ')
+            _write_json_ids(write, ids, "\n      ")
+            lead = ",\n      "
+        write("\n    }")
+    if timing:
+        write(f',\n    "elapsed_ns": {elapsed}')
+    write("\n  }")
 
 
 @contextmanager
@@ -152,23 +180,21 @@ def cmd_check(args: argparse.Namespace) -> int:
     g = _PARSERS[args.format](text)
     algos = ALGORITHM_NAMES if args.algo == "all" else (args.algo,)
     runs = _certified_runs(g, algos)
-    # built one at a time as they are written, so one report is alive at once
-    reports = (_report(g, name, outcome, elapsed, args.timing)
-               for name, (outcome, _, elapsed) in zip(algos, runs))
     first = runs[0][0]
     if args.dot:
         Path(args.dot).write_text(write_dot(g, first))
+    write = sys.stdout.write
     with _reader_may_leave():
-        if args.json:  # the bytes of print(_json_text(list(reports)))
-            write = sys.stdout.write
+        if args.json:  # the bytes of print(json.dumps(reports, indent=2))
             opening = "[\n  "
-            for report in reports:
-                write(opening + _json_text(report, "\n  "))
+            for name, (outcome, _, elapsed) in zip(algos, runs):
+                write(opening)
+                _write_json(write, g, name, outcome, elapsed, args.timing)
                 opening = ",\n  "
             write("\n]\n")
         else:
-            for report in reports:
-                print(_render(report))
+            for name, (outcome, _, elapsed) in zip(algos, runs):
+                _write_text(write, g, name, outcome, elapsed, args.timing)
     return EXIT_BIPARTITE if first.is_bipartite else EXIT_ODD_CYCLE
 
 
@@ -218,9 +244,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if len(parts) != 2:
             raise InputError(f"size {token!r} must look like 'n,m'")
         try:
-            sizes.append((int(parts[0]), int(parts[1])))
+            n, m = int(parts[0]), int(parts[1])
         except ValueError:
             raise InputError(f"size {token!r} must be two integers") from None
+        for name, value in (("n", n), ("m", m)):
+            if value < 0:
+                raise InputError(f"size {token!r}: {name} must be non-negative, got {value}")
+        sizes.append((n, m))
 
     rows: list[tuple] = []  # one per BENCH_CSV_HEADER line
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -285,6 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_bench = sub.add_parser("bench", help="time all four checkers")
+    # a token that opens with "-" and a digit is a value, not an option, so
+    # that a size cell such as -3,2 reaches the size check (Python 3.13's
+    # argparse reads it so; earlier ones take only -3 and -1.5 as values)
+    p_bench._negative_number_matcher = re.compile(r"-\.?\d")
     p_bench.add_argument("--kinds", nargs="+", choices=sorted(_KIND_FLAGS),
                          required=True)
     p_bench.add_argument("--sizes", nargs="+", required=True,

@@ -27,8 +27,9 @@ _DIMACS_LAYOUT = (
     re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)"),
 )
 # the bulk read splits newline-aligned chunks of about this many characters,
-# so that one chunk's tokens are alive at a time, not the whole file's
-_CHUNK = 1 << 20
+# so that one chunk's tokens are alive at a time, not the whole file's: about
+# 1 MiB of token strs and ints per chunk
+_CHUNK = 1 << 16
 # tokens on a line are separated by spaces and tabs, nothing else
 _SEPARATOR = re.compile(r"[ \t]+")
 

@@ -248,37 +248,47 @@ def bfs_path(
 
     ``vertex_ok[v]`` and ``edge_ok[eid]`` (a bytearray, say) are truthy for
     the vertices and edge ids the path may use; None allows all of them.
-    The search visits only what it reaches, so its cost follows the region
-    searched, not the size of the graph.  The caller makes sure ``a`` and
-    ``b`` are allowed.
+    The caller makes sure ``a`` and ``b`` are allowed.
+
+    The search keeps one ``array('q')`` slot per vertex: the id of the edge
+    a reached vertex was reached by, whose other end is its parent.  Apart
+    from allocating that array it visits only what it reaches, so its cost
+    follows the region searched.  The scan of x's neighbors runs in edge-id
+    order, so the first allowed edge to reach a vertex is its smallest
+    allowed one; the vertices x reaches are then queued in ascending order.
+    That is the ``(vertex, edge_id)`` order ``find_path`` promises.
     """
     if a == b:
         return Path([a], [])
     off, nbrs, eids = g.csr()
-    parent: dict[int, tuple[int, int]] = {a: (-1, -1)}
+    ends = g.ends
+    # the edge id each reached vertex was reached by; -1 unreached, -2 at a
+    via = array("q", [-1]) * g.n
+    via[a] = -2
     queue = deque([a])
     while queue:
         x = queue.popleft()
-        lo, hi = off[x], off[x + 1]
-        for nbr, eid in sorted(zip(nbrs[lo:hi], eids[lo:hi])):
-            if (
-                nbr in parent
-                or (vertex_ok is not None and not vertex_ok[nbr])
-                or (edge_ok is not None and not edge_ok[eid])
-            ):
+        reached = []
+        for j in range(off[x], off[x + 1]):
+            y = nbrs[j]
+            if via[y] != -1 or (vertex_ok is not None and not vertex_ok[y]):
                 continue
-            parent[nbr] = (x, eid)
-            if nbr == b:
+            e = eids[j]
+            if edge_ok is not None and not edge_ok[e]:
+                continue
+            via[y] = e
+            if y == b:
                 verts = [b]
-                eids = []
-                cur = b
-                while cur != a:
-                    prev, via = parent[cur]
-                    eids.append(via)
-                    verts.append(prev)
-                    cur = prev
+                path_eids = []
+                while y != a:
+                    path_eids.append(e)
+                    y ^= ends[2 * e] ^ ends[2 * e + 1]
+                    verts.append(y)
+                    e = via[y]
                 verts.reverse()
-                eids.reverse()
-                return Path(verts, eids)
-            queue.append(nbr)
+                path_eids.reverse()
+                return Path(verts, path_eids)
+            reached.append(y)
+        reached.sort()
+        queue.extend(reached)
     return None

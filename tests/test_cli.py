@@ -8,7 +8,11 @@ import io
 import json
 import os
 import sys
+import tempfile
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 import bicert.cli as cli
 from bicert import ALGORITHM_NAMES, Bipartition, CheckOutcome, OddCycle, build_graph
 from bicert.checkers import run_instrumented
-from bicert.formats import parse_edge_list
+from bicert.formats import parse_edge_list, write_edge_list
 from conftest import graphs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -380,6 +384,17 @@ class TestBench:
                          "--seeds", "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("cell, name, value", [("-3,2", "n", -3), ("10,-5", "m", -5)])
+    @pytest.mark.parametrize("kind", ["random", "forest"])
+    def test_negative_size_cell_is_named(self, cell, name, value, kind, capsys):
+        code = cli.main(["bench", "--kinds", kind, "--sizes", "4,4", cell,
+                         "--seeds", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: size {cell!r}: {name} must be"
+                                f" non-negative, got {value}\n")
+
     @pytest.mark.parametrize("repeat", ["0", "-1"])
     def test_repeat_below_one_is_usage_error(self, repeat, capsys):
         code = cli.main(["bench", "--kinds", "random", "--sizes", "10,10",
@@ -477,16 +492,82 @@ class TestCollector:
         assert garbage(large) == garbage(small)
 
 
-class TestJsonWriter:
-    """The --json text is json.dumps(reports, indent=2), byte for byte."""
+def reference_report(g, name: str, outcome, elapsed: int, timing: bool) -> dict:
+    """One checker's report as the dict the ``--json`` list holds."""
+    report: dict = {"algorithm": name, "verdict": outcome.branch, "n": g.n, "m": g.m}
+    if outcome.bipartition is not None:
+        side = outcome.bipartition.side
+        report["sides"] = {"side0": [v for v, s in enumerate(side) if s == 0],
+                           "side1": [v for v, s in enumerate(side) if s == 1]}
+    else:
+        report["cycle"] = list(outcome.odd_cycle.vertices)
+    if timing:
+        report["elapsed_ns"] = elapsed
+    return report
+
+
+def reference_text(report: dict) -> str:
+    """The text form of one ``reference_report``, newline included."""
+    lines = [f"algorithm={report['algorithm']} verdict={report['verdict']}"
+             f" n={report['n']} m={report['m']}"]
+    for label, vertices in report.get("sides", {}).items():
+        lines.append(f"  {label}: " + " ".join(map(str, vertices)))
+    if "cycle" in report:
+        lines.append("  cycle: " + " ".join(map(str, report["cycle"])))
+    if "elapsed_ns" in report:
+        lines.append(f"  elapsed_ns: {report['elapsed_ns']}")
+    return "\n".join(lines) + "\n"
+
+
+def check_output(g, *flags: str, algo: str = "all", elapsed: int = 0) -> tuple[str, list[dict]]:
+    """``bicert check`` of ``g`` through ``cli.main``, with every checker's
+    elapsed time read as ``elapsed``: its stdout, and the reference reports
+    built from ``run_instrumented``.
+    """
+    real = cli._certified_runs
+
+    def fixed_elapsed(graph, algorithms):
+        return [(outcome, ops, elapsed) for outcome, ops, _ in real(graph, algorithms)]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        Path(path).write_text(write_edge_list(g))
+        out = io.StringIO()
+        with mock.patch.object(cli, "_certified_runs", fixed_elapsed), redirect_stdout(out):
+            cli.main(["check", path, "--algo", algo, *flags])
+    names = ALGORITHM_NAMES if algo == "all" else (algo,)
+    reports = [reference_report(g, name, run_instrumented(g, name)[0], elapsed,
+                                "--timing" in flags)
+               for name in names]
+    return out.getvalue(), reports
+
+
+def star(leaves: int):
+    """Vertex 0 joined to each of 1..leaves: sides of 1 and ``leaves`` vertices."""
+    return build_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def odd_cycle(k: int):
+    return build_graph(k, [(v, (v + 1) % k) for v in range(k)])
+
+
+class TestReportWriter:
+    """The text and --json reports match the reports built as dicts, byte for byte.
+
+    The reference is the report a dict-and-join writer prints:
+    ``json.dumps(reports, indent=2)`` for --json, one joined line per list
+    for text.  The writer streams each side or cycle in runs of
+    ``cli._RUN`` vertex ids, so the lengths around a run boundary are
+    pinned here.
+    """
 
     @given(graphs(max_n=12, max_m=24), st.booleans(), st.integers(0, 2**63))
-    def test_matches_json_dumps(self, g, timing, elapsed):
-        reports = [
-            cli._report(g, name, run_instrumented(g, name)[0], elapsed, timing)
-            for name in ALGORITHM_NAMES
-        ]
-        assert cli._json_text(reports) == json.dumps(reports, indent=2)
+    def test_matches_the_reference(self, g, timing, elapsed):
+        flags = ["--timing"] if timing else []
+        out, reports = check_output(g, "--json", *flags, elapsed=elapsed)
+        assert out == json.dumps(reports, indent=2) + "\n"
+        out, reports = check_output(g, *flags, elapsed=elapsed)
+        assert out == "".join(map(reference_text, reports))
 
     @pytest.mark.parametrize("g", [
         build_graph(0, []),
@@ -495,10 +576,11 @@ class TestJsonWriter:
         build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
     ], ids=["empty", "isolated", "loop", "five-cycle"])
     def test_edge_cases(self, g):
-        for timing in (False, True):
-            reports = [cli._report(g, name, run_instrumented(g, name)[0], 12, timing)
-                       for name in ALGORITHM_NAMES]
-            assert cli._json_text(reports) == json.dumps(reports, indent=2)
+        for flags in ([], ["--timing"]):
+            out, reports = check_output(g, "--json", *flags, elapsed=12)
+            assert out == json.dumps(reports, indent=2) + "\n"
+            out, reports = check_output(g, *flags, elapsed=12)
+            assert out == "".join(map(reference_text, reports))
 
     @pytest.mark.parametrize("algo", ["all", *ALGORITHM_NAMES])
     @pytest.mark.parametrize("path_fixture", ["even_file", "odd_file"])
@@ -506,13 +588,81 @@ class TestJsonWriter:
         path = request.getfixturevalue(path_fixture)
         g = parse_edge_list(Path(path).read_text())
         names = ALGORITHM_NAMES if algo == "all" else (algo,)
-        reports = [cli._report(g, name, run_instrumented(g, name)[0], 0, False)
+        reports = [reference_report(g, name, run_instrumented(g, name)[0], 0, False)
                    for name in names]
         cli.main(["check", path, "--json", "--algo", algo])
         assert capsys.readouterr().out == json.dumps(reports, indent=2) + "\n"
 
-    @pytest.mark.parametrize("value", [
-        [], {}, "x\u00e9\"\n", 7, [True, 1], [1.5], [[], [1, [2]], {}], {"k": None},
-    ])
-    def test_other_values_fall_back_to_json_dumps(self, value):
-        assert cli._json_text(value) == json.dumps(value, indent=2)
+    R = cli._RUN
+
+    @pytest.mark.parametrize("g, lengths", [
+        (build_graph(0, []), {0}),
+        (build_graph(1, []), {0, 1}),
+        (build_graph(R, []), {0, R}),
+        (build_graph(R + 1, []), {0, R + 1}),
+        (star(R), {1, R}),
+        (star(R + 1), {1, R + 1}),
+        (star(2 * R + 1), {1, 2 * R + 1}),
+        (build_graph(2, [(1, 1)]), {1}),        # a loop: a cycle of one vertex
+        (odd_cycle(R - 1), {R - 1}),
+        (odd_cycle(R + 1), {R + 1}),
+    ], ids=["0", "1", "R", "R+1", "star-R", "star-R+1", "star-2R+1",
+            "cycle-1", "cycle-R-1", "cycle-R+1"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_lists_around_a_run_boundary(self, g, lengths, as_json):
+        out, reports = check_output(g, *(["--json"] if as_json else []))
+        lists = [ids for report in reports
+                 for ids in (report["sides"].values() if "sides" in report
+                             else [report["cycle"]])]
+        assert set(map(len, lists)) == lengths
+        if as_json:
+            assert out == json.dumps(reports, indent=2) + "\n"
+        else:
+            assert out == "".join(map(reference_text, reports))
+
+    def test_empty_side_is_written_as_json_dumps_and_join_write_it(self):
+        # the text line keeps the space after the colon
+        g = build_graph(2, [])
+        out, _ = check_output(g, algo="growth")
+        assert out == "algorithm=growth verdict=bipartite n=2 m=0\n  side0: 0 1\n  side1: \n"
+        out, _ = check_output(g, "--json", algo="growth")
+        assert '"side0": [\n        0,\n        1\n      ],\n      "side1": []\n' in out
+
+
+class TestCheckMemory:
+    """tracemalloc peak of a whole ``bicert check`` run per vertex, report included.
+
+    The input is a header-only file, 2×10⁵ vertices and no edges, so every
+    byte is per-vertex state: the checkers' tables, the certificates and the
+    report.  Measured with stdout on os.devnull, text and --json alike:
+
+    algo    per-vertex objects    flat tables, streamed report
+    growth  123-131 B             19 B
+    flip    153 B                 42 B
+    dsu     113-122 B             20 B
+    forest  122-131 B             42 B
+    all     170 B                 66 B
+    """
+
+    N = 200_000
+    BOUNDS = {"growth": 32, "flip": 56, "dsu": 32, "forest": 56, "all": 96}
+
+    # the two writers share the run writer, so the singles write text and
+    # all writes --json
+    @pytest.mark.parametrize("algo, as_json", [
+        *((algo, False) for algo in ALGORITHM_NAMES), ("all", True),
+    ], ids=[*ALGORITHM_NAMES, "all-json"])
+    def test_peak_bytes_per_vertex(self, algo, as_json, tmp_path, monkeypatch):
+        path = tmp_path / "g.txt"
+        path.write_text(f"n {self.N}\n")
+        argv = ["check", str(path), "--algo", algo, *(["--json"] if as_json else [])]
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak / self.N <= self.BOUNDS[algo]

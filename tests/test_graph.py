@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicert import (
     GenSpec,
@@ -16,7 +18,7 @@ from bicert import (
     generate,
     simplify,
 )
-from bicert.graph import MAX_VERTICES
+from bicert.graph import MAX_VERTICES, bfs_path
 from conftest import adjacency, four_cycle, graphs, triangle
 
 
@@ -220,3 +222,49 @@ class TestFindPath:
                 for i, eid in enumerate(p.edge_ids):
                     u, v = g.pairs[eid]
                     assert {u, v} == {p.vertices[i], p.vertices[i + 1]}
+
+
+def sorted_scan_path(g, a, b, vertex_ok, edge_ok):
+    """``bfs_path`` as a BFS that scans each vertex's ``(neighbor, edge id)``
+    entries sorted and keeps ``(parent, edge id)`` per reached vertex."""
+    if a == b:
+        return [a], []
+    parent = {a: None}
+    queue = deque([a])
+    while queue:
+        x = queue.popleft()
+        for y, eid in sorted(adjacency(g, x)):
+            if y in parent or not vertex_ok[y] or not edge_ok[eid]:
+                continue
+            parent[y] = (x, eid)
+            if y == b:
+                verts, eids = [b], []
+                while parent[verts[-1]] is not None:
+                    prev, via = parent[verts[-1]]
+                    eids.append(via)
+                    verts.append(prev)
+                return verts[::-1], eids[::-1]
+            queue.append(y)
+    return None
+
+
+class TestBfsPath:
+    @settings(max_examples=400)
+    @given(graphs(max_n=9, max_m=30), st.data())
+    def test_matches_the_sorted_scan(self, g, data):
+        # masks and endpoints drawn per example; parallel edges and loops
+        # make the smallest-allowed-edge rule matter
+        if g.n == 0:
+            return
+        mostly_ok = st.sampled_from([1, 1, 1, 0])
+        vertex_ok = bytearray(data.draw(st.lists(mostly_ok, min_size=g.n, max_size=g.n)))
+        edge_ok = bytearray(data.draw(st.lists(mostly_ok, min_size=g.m, max_size=g.m)))
+        a = data.draw(st.integers(0, g.n - 1))
+        b = data.draw(st.integers(0, g.n - 1))
+        vertex_ok[a] = vertex_ok[b] = 1
+        path = bfs_path(g, a, b, vertex_ok=vertex_ok, edge_ok=edge_ok)
+        expected = sorted_scan_path(g, a, b, vertex_ok, edge_ok)
+        if expected is None:
+            assert path is None
+        else:
+            assert (path.vertices, path.edge_ids) == expected
