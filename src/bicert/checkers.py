@@ -8,17 +8,20 @@ takes a genuinely different route:
 * ``check_incremental_flip`` inserts edges one by one into a two-colored
   spanning subgraph, flipping whole components to repair side clashes.
 * ``check_dsu_parity``       tracks side parity between every vertex and its
-  union-find root; an edge joining same-parity vertices in one tree is odd.
+  union-find root (union by rank, so a find's climb needs no path
+  compression); an edge joining same-parity vertices in one tree is odd.
 * ``check_forest_recolor``   colors a BFS spanning forest by peeling its
   smallest leaf, one linear scan over the degrees and neighbor XORs the BFS
   recorded, then re-examines the leftover edges; a clash yields the
-  fundamental cycle, the tree path read off the forest's BFS parents plus
-  the clashing edge.
+  fundamental cycle: the tree path read off the forest's BFS parents (one
+  end climbs to its root, the other until it meets that climb), then the
+  clashing edge.
 
 All four process edges (and seed vertices) in id order, so their output is a
 pure function of the input graph.  flip and dsu stream the edges off
-``Graph.ends``; growth and forest scan each vertex's neighbors by index
-range in the graph's CSR adjacency, which the first of them to run builds.
+``Graph.ends``; growth and forest scan each vertex's neighbors once, by
+index range in the graph's CSR adjacency, which the first of them to run
+builds.
 ``run_instrumented`` certifies loops in a pre-pass as length-1 odd cycles
 before any checker runs.  ``check`` dispatches by name and re-verifies the
 result before returning it.  Certificate extraction searches only the
@@ -79,21 +82,23 @@ def _growth(g: Graph) -> tuple[CheckOutcome, int]:
             z = queue.popleft()
             if member[z]:
                 continue
-            lo, hi = off[z], off[z + 1]
-            # CSR positions of z's first entries to a grown vertex on each side
+            # one scan: note z's first CSR entries to a grown vertex on each
+            # side and queue the rest; a clash returns before the queue is read
             first_zero: int | None = None
             first_one: int | None = None
-            for j in range(lo, hi):
+            for j in range(off[z], off[z + 1]):
                 y = nbr[j]
-                if member[y]:
-                    if side[y] == 0:
-                        if first_zero is None:
-                            first_zero = j
-                    elif first_one is None:
-                        first_one = j
+                if not member[y]:
+                    queue.append(y)
+                elif side[y] == 0:
+                    if first_zero is None:
+                        first_zero = j
+                elif first_one is None:
+                    first_one = j
             if first_zero is not None and first_one is not None:
                 path = bfs_path(g, nbr[first_zero], nbr[first_one], vertex_ok=member)
-                assert path is not None  # grown subgraph is connected
+                if path is None:
+                    raise InternalInvariantError("grown subgraph is not connected")
                 cyc_v = path.vertices + [z]
                 cyc_e = path.edge_ids + [eids[first_one], eids[first_zero]]
                 return CheckOutcome(odd_cycle=OddCycle(cyc_v, cyc_e)), absorbed
@@ -101,10 +106,6 @@ def _growth(g: Graph) -> tuple[CheckOutcome, int]:
             side[z] = 1 if first_zero is not None else 0
             member[z] = 1
             absorbed += 1
-            for j in range(lo, hi):
-                y = nbr[j]
-                if not member[y]:
-                    queue.append(y)
     return CheckOutcome(bipartition=Bipartition(side)), absorbed
 
 
@@ -165,16 +166,6 @@ def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
             pa ^= par[ra]
             ra = w
             w = parent[ra]
-        x = a
-        px = pa
-        w = parent[x]
-        while w != ra:
-            old = par[x]
-            parent[x] = ra
-            par[x] = px
-            px ^= old
-            x = w
-            w = parent[x]
         rb = b
         pb = 0
         w = parent[rb]
@@ -182,30 +173,16 @@ def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
             pb ^= par[rb]
             rb = w
             w = parent[rb]
-        x = b
-        px = pb
-        w = parent[x]
-        while w != rb:
-            old = par[x]
-            parent[x] = rb
-            par[x] = px
-            px ^= old
-            x = w
-            w = parent[x]
         if ra != rb:
             unions += 1
             in_forest[eid] = 1
-            bit = pa ^ pb ^ 1
+            # union by rank: the lower root goes under the higher, b's under a's on a tie
             if rank[ra] < rank[rb]:
-                parent[ra] = rb
-                par[ra] = bit
-            elif rank[ra] > rank[rb]:
-                parent[rb] = ra
-                par[rb] = bit
-            else:
-                parent[rb] = ra
-                par[rb] = bit
+                ra, rb = rb, ra
+            elif rank[ra] == rank[rb]:
                 rank[ra] += 1
+            parent[rb] = ra
+            par[rb] = pa ^ pb ^ 1
         elif pa == pb:
             # the forest path a..b has even length; this edge closes it
             return _closed_by(g, in_forest, a, b, eid), unions
@@ -298,40 +275,27 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
     return CheckOutcome(bipartition=Bipartition(side)), examined
 
 
-def _depth(ends: array, up: array, v: int) -> int:
-    """The number of tree edges from ``v`` up to its root."""
-    d = 0
-    e = up[v]
-    while e != -1:
-        v ^= ends[2 * e] ^ ends[2 * e + 1]
-        e = up[v]
-        d += 1
-    return d
-
-
 def _tree_cycle(ends: array, up: array, a: int, b: int, eid: int) -> OddCycle:
-    """The tree path a..b, found by climbing both ends to their meeting vertex, then ``eid``."""
+    """The tree path a..b, then ``eid``: b climbs until it meets a's climb to the root."""
     a_verts, a_eids = [a], []
+    e = up[a]
+    while e != -1:
+        a ^= ends[2 * e] ^ ends[2 * e + 1]
+        a_verts.append(a)
+        a_eids.append(e)
+        e = up[a]
+    on_a = {v: i for i, v in enumerate(a_verts)}
     b_verts, b_eids = [b], []
-    a_depth = _depth(ends, up, a)
-    b_depth = _depth(ends, up, b)
-    while a != b:
-        if a_depth >= b_depth:
-            e = up[a]
-            a ^= ends[2 * e] ^ ends[2 * e + 1]
-            a_verts.append(a)
-            a_eids.append(e)
-            a_depth -= 1
-        else:
-            e = up[b]
-            b ^= ends[2 * e] ^ ends[2 * e + 1]
-            b_verts.append(b)
-            b_eids.append(e)
-            b_depth -= 1
-    b_verts.pop()  # the meeting vertex ends a_verts already
+    while b not in on_a:
+        e = up[b]
+        b ^= ends[2 * e] ^ ends[2 * e + 1]
+        b_verts.append(b)
+        b_eids.append(e)
+    i = on_a[b]
+    b_verts.pop()  # the meeting vertex ends a's part already
     b_verts.reverse()
     b_eids.reverse()
-    return OddCycle(a_verts + b_verts, a_eids + b_eids + [eid])
+    return OddCycle(a_verts[:i + 1] + b_verts, a_eids[:i] + b_eids + [eid])
 
 
 def check_growth_induced(g: Graph) -> CheckOutcome:

@@ -20,9 +20,11 @@ from pathlib import Path
 import pytest
 
 from bicert import ALGORITHM_NAMES, GenSpec, generate, run_instrumented
+from bicert.generators import KIND_NAMES
 
 GOLDEN = Path(__file__).parent / "golden" / "checker_outcomes.txt"
 SEEDS = range(20)
+CORPUS = [(kind, seed) for kind in KIND_NAMES for seed in SEEDS]
 
 
 def spec(kind: str, seed: int) -> GenSpec:
@@ -54,12 +56,6 @@ def outcome_lines(kind: str, seed: int) -> list[str]:
     return lines
 
 
-def corpus() -> list[tuple[str, int]]:
-    return [(kind, seed) for kind in ("random", "planted_bipartite",
-                                      "planted_odd_cycle", "forest")
-            for seed in SEEDS]
-
-
 def golden() -> dict[tuple[str, int], list[str]]:
     pinned: dict[tuple[str, int], list[str]] = {}
     for line in GOLDEN.read_text().splitlines():
@@ -69,7 +65,7 @@ def golden() -> dict[tuple[str, int], list[str]]:
 
 
 def test_golden_file_covers_the_corpus():
-    assert sorted(golden()) == sorted(corpus())
+    assert sorted(golden()) == sorted(CORPUS)
 
 
 def test_corpus_reaches_both_branches_and_loops():
@@ -78,11 +74,11 @@ def test_corpus_reaches_both_branches_and_loops():
     assert any(generate(spec("random", seed)).first_loop is not None for seed in SEEDS)
 
 
-@pytest.mark.parametrize("kind, seed", corpus(), ids=lambda p: str(p))
+@pytest.mark.parametrize("kind, seed", CORPUS)
 def test_outcomes_and_counters_match_golden(kind, seed):
     assert outcome_lines(kind, seed) == golden()[(kind, seed)]
 
 
 if __name__ == "__main__":
-    for kind, seed in corpus():
+    for kind, seed in CORPUS:
         print("\n".join(outcome_lines(kind, seed)))

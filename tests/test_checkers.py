@@ -127,6 +127,12 @@ class TestGrowth:
         _, absorbed = run_instrumented(four_cycle(), "growth")
         assert absorbed == 4
 
+    def test_disconnected_grown_subgraph_is_an_invariant_error(self, monkeypatch):
+        # the check must hold under ``python -O`` too, so it is no assert
+        monkeypatch.setattr(checkers, "bfs_path", lambda *args, **kwargs: None)
+        with pytest.raises(InternalInvariantError):
+            run_instrumented(k4(), "growth")
+
 
 class TestIncrementalFlip:
     def test_triangle_third_edge_closes(self):

@@ -6,7 +6,7 @@ any single route shows up as a disagreement rather than a silent pass.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from bicert import (
     ALGORITHM_NAMES,
@@ -189,7 +189,22 @@ def _old_route_certificate(g, kept, closing):
     return verts[::-1], eids[::-1] + [closing]
 
 
+def _stem_and_cycle(stem, cycle, chords=()):
+    """A path 0..stem, then a cycle of ``cycle`` vertices starting at its end, plus chords."""
+    pairs = [(v, v + 1) for v in range(stem + cycle - 1)]
+    pairs.append((stem + cycle - 1, stem))
+    return build_graph(stem + cycle, pairs + list(chords))
+
+
+# Long climbs for forest's tree path.  A BFS forest puts a same-side
+# non-tree edge's ends at equal depth; their climbs meet at the root
+# (vertex 0) in the first and fourth examples, 200 and 40 levels below it
+# in the second and third.
 @given(graphs(max_n=12, max_m=30, loops=False))
+@example(_stem_and_cycle(0, 301))
+@example(_stem_and_cycle(200, 151))
+@example(_stem_and_cycle(0, 301, [(40, 120), (250, 180)]))
+@example(_stem_and_cycle(150, 201, [(0, 151), (20, 250), (300, 160)]))
 @settings(deadline=None)
 def test_certificates_match_the_adjacency_rebuild_route(g):
     # flip, dsu and forest used to rebuild an adjacency over their kept edge
