@@ -20,13 +20,14 @@ takes a genuinely different route:
 All four process edges (and seed vertices) in id order, so their output is a
 pure function of the input graph.  flip and dsu stream the edges off
 ``Graph.ends``; growth and forest scan each vertex's neighbors once, by
-index range in the graph's CSR adjacency, which the first of them to run
-builds.
+walking its slot list in the graph's adjacency, which the first of them to
+run builds.
 ``run_instrumented`` certifies loops in a pre-pass as length-1 odd cycles
-before any checker runs.  ``check`` dispatches by name and re-verifies the
-result before returning it.  Certificate extraction searches only the
-region it needs: flip and dsu run a masked BFS over the CSR adjacency
-(building it if no checker has), forest walks tree parents.
+before any checker runs, so no walk meets a loop.  ``check`` dispatches by
+name and re-verifies the result before returning it.  Certificate
+extraction searches only the region it needs: flip and dsu run a masked BFS
+over the adjacency (building it if no checker has), forest walks tree
+parents.
 
 Per-vertex state is flat: bytearrays for flags and sides, ``array('q')``
 for ids, parents and counts.  flip keeps each component as an array linked
@@ -68,41 +69,43 @@ def _closed_by(g: Graph, kept: bytes | bytearray, a: int, b: int, eid: int) -> C
 
 def _growth(g: Graph) -> tuple[CheckOutcome, int]:
     n = g.n
-    off, nbr, eids = g.csr()
+    ends = g.ends
+    head, nxt = g.adjacency()
     side = [0] * n
     member = bytearray(n)
     absorbed = 0
     for seed in range(n):
         if member[seed]:
             continue
-        member[seed] = 1
-        absorbed += 1
-        queue = deque(nbr[off[seed]:off[seed + 1]])
+        queue = deque([seed])
         while queue:
             z = queue.popleft()
             if member[z]:
                 continue
-            # one scan: note z's first CSR entries to a grown vertex on each
-            # side and queue the rest; a clash returns before the queue is read
+            # one scan: note z's first slots to a grown vertex on each side
+            # and queue the rest; a clash returns before the queue is read
             first_zero: int | None = None
             first_one: int | None = None
-            for j in range(off[z], off[z + 1]):
-                y = nbr[j]
+            s = head[z]
+            while s != -1:
+                y = ends[s ^ 1]
                 if not member[y]:
                     queue.append(y)
                 elif side[y] == 0:
                     if first_zero is None:
-                        first_zero = j
+                        first_zero = s
                 elif first_one is None:
-                    first_one = j
+                    first_one = s
+                s = nxt[s]
             if first_zero is not None and first_one is not None:
-                path = bfs_path(g, nbr[first_zero], nbr[first_one], vertex_ok=member)
+                path = bfs_path(g, ends[first_zero ^ 1], ends[first_one ^ 1], vertex_ok=member)
                 if path is None:
                     raise InternalInvariantError("grown subgraph is not connected")
                 cyc_v = path.vertices + [z]
-                cyc_e = path.edge_ids + [eids[first_one], eids[first_zero]]
+                cyc_e = path.edge_ids + [first_one >> 1, first_zero >> 1]
                 return CheckOutcome(odd_cycle=OddCycle(cyc_v, cyc_e)), absorbed
-            # every queued vertex has a grown neighbor, so one side is set
+            # the seed has no grown neighbor and takes side 0; every later
+            # vertex was queued by a grown neighbor, so one side is set
             side[z] = 1 if first_zero is not None else 0
             member[z] = 1
             absorbed += 1
@@ -234,7 +237,8 @@ def _peel(deg: array, nbrs: array) -> list[int]:
 
 def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
     n = g.n
-    off, nbr, eids = g.csr()
+    ends = g.ends
+    head, nxt = g.adjacency()
     visited = bytearray(n)
     is_tree = bytearray(g.m)
     up = array("q", [-1]) * n  # each vertex's tree edge to its BFS parent; -1 at a root
@@ -249,11 +253,12 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
             x = queue.popleft()
             kids = 0
             kids_xor = 0
-            for j in range(off[x], off[x + 1]):
-                y = nbr[j]
+            s = head[x]
+            while s != -1:
+                y = ends[s ^ 1]
                 if not visited[y]:
                     visited[y] = 1
-                    eid = eids[j]
+                    eid = s >> 1
                     is_tree[eid] = 1
                     up[y] = eid
                     deg[y] = 1
@@ -261,6 +266,7 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
                     kids += 1
                     kids_xor ^= y
                     queue.append(y)
+                s = nxt[s]
             if kids:
                 deg[x] += kids
                 nbrs[x] ^= kids_xor

@@ -5,9 +5,9 @@ dense ids ``0..m-1``.  Parallel edges and loops are legal everywhere in this
 package; a loop is the edge ``(v, v)``.
 
 Storage is flat and in stdlib arrays: one ``array('q')`` holds every edge's
-two endpoints, and the adjacency is a compressed sparse row (CSR) index over
-it, built the first time a reader asks for it.  Routes that only stream the
-edges in id order never build it.
+two endpoints, and the adjacency links each vertex's endpoint slots in that
+array into a list, built the first time a reader asks for it.  Routes that
+only stream the edges in id order never build it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, islice
+from itertools import compress, count, islice
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -27,19 +27,20 @@ MAX_VERTICES = 10_000_000
 
 
 class Graph:
-    """Edge-list multigraph with a lazily built CSR adjacency, frozen after construction.
+    """Edge-list multigraph with a lazily built adjacency, frozen after construction.
 
-    ``ends`` holds edge e's endpoints at ``2e`` and ``2e + 1``.  ``csr()``
-    returns the adjacency ``(off, nbr, eid)``: for ``off[x] <= j < off[x + 1]``,
-    ``nbr[j]`` and ``eid[j]`` are x's neighbors and the ids of the edges to
-    them, in edge-id order.  A non-loop edge appears once at each endpoint, a
-    loop exactly once, at its single endpoint.  Instances are treated as
-    read-only values by every algorithm here; do not mutate ``ends`` or the
-    CSR arrays.  ``first_loop`` is the id of the first loop, or None when
-    there is none.
+    ``ends`` holds edge e's endpoints at slots ``2e`` and ``2e + 1``.
+    ``adjacency()`` returns ``(head, nxt)``: ``head[x]`` is the first slot of
+    ``ends`` holding x and ``nxt[s]`` the next slot holding ``ends[s]``, -1
+    ending a list.  Walking x's list visits its edges in edge-id order; at
+    slot s the neighbor is ``ends[s ^ 1]`` and the edge id ``s >> 1``.  A
+    non-loop edge appears once at each endpoint, a loop twice, once per slot.
+    Instances are treated as read-only values by every algorithm here; do not
+    mutate ``ends`` or the adjacency arrays.  ``first_loop`` is the id of the
+    first loop, or None when there is none.
     """
 
-    __slots__ = ("n", "ends", "first_loop", "_csr")
+    __slots__ = ("n", "ends", "first_loop", "_adj")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -65,7 +66,7 @@ class Graph:
         self.n = n
         self.ends = ends
         self.first_loop = next(loops, None)
-        self._csr: tuple[array, array, array] | None = None
+        self._adj: tuple[array, array] | None = None
 
     @property
     def m(self) -> int:
@@ -81,11 +82,18 @@ class Graph:
         """A fresh list of ``edges()``; for callers that index pairs by edge id."""
         return list(self.edges())
 
-    def csr(self) -> tuple[array, array, array]:
-        """The adjacency ``(off, nbr, eid)``, built on the first call and kept."""
-        if self._csr is None:
-            self._csr = _build_csr(self.n, self.ends, self.first_loop)
-        return self._csr
+    def adjacency(self) -> tuple[array, array]:
+        """The slot lists ``(head, nxt)``, built on the first call and kept."""
+        if self._adj is None:
+            ends = self.ends
+            head = array("q", [-1]) * self.n
+            nxt = array("q", [-1]) * len(ends)
+            # prepending from the last slot down leaves each list ascending
+            for s, x in zip(range(len(ends) - 1, -1, -1), reversed(ends)):
+                nxt[s] = head[x]
+                head[x] = s
+            self._adj = head, nxt
+        return self._adj
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -107,36 +115,6 @@ def _check_range(n: int, ends: array) -> None:
         for eid, (u, v) in enumerate(zip(it, it)):
             if not (0 <= u < n and 0 <= v < n):
                 raise _out_of_range(n, eid, u, v)
-
-
-def _build_csr(n: int, ends: array, first_loop: int | None) -> tuple[array, array, array]:
-    """Count degrees, then place each edge at its endpoints in edge-id order."""
-    deg = array("q", [0]) * n
-    for x in ends:
-        deg[x] += 1
-    if first_loop is not None:  # a loop was counted at both of its ends
-        rest = islice(ends, 2 * first_loop, None)
-        for u, v in zip(rest, rest):
-            if u == v:
-                deg[u] -= 1
-    off = array("q", [0])
-    off.extend(accumulate(deg))
-    del deg
-    pos = off[:-1]  # where each vertex's next entry goes
-    nbr = array("q", [0]) * off[-1]
-    eid = array("q", [0]) * off[-1]
-    it = iter(ends)
-    for e, (u, v) in enumerate(zip(it, it)):
-        j = pos[u]
-        pos[u] = j + 1
-        nbr[j] = v
-        eid[j] = e
-        if u != v:
-            j = pos[v]
-            pos[v] = j + 1
-            nbr[j] = u
-            eid[j] = e
-    return off, nbr, eid
 
 
 def build_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -189,7 +167,8 @@ class ComponentLabeling:
 def connected_components(g: Graph) -> ComponentLabeling:
     """Label connected components; isolated vertices are singletons."""
     label = [-1] * g.n
-    off, nbr, _ = g.csr()
+    ends = g.ends
+    head, nxt = g.adjacency()
     k = 0
     for seed in range(g.n):
         if label[seed] != -1:
@@ -197,12 +176,13 @@ def connected_components(g: Graph) -> ComponentLabeling:
         label[seed] = k
         queue = deque([seed])
         while queue:
-            x = queue.popleft()
-            for j in range(off[x], off[x + 1]):
-                y = nbr[j]
+            s = head[queue.popleft()]
+            while s != -1:
+                y = ends[s ^ 1]
                 if label[y] == -1:
                     label[y] = k
                     queue.append(y)
+                s = nxt[s]
         k += 1
     return ComponentLabeling(label, k)
 
@@ -244,51 +224,51 @@ def bfs_path(
     vertex_ok: Sequence[int] | None = None,
     edge_ok: Sequence[int] | None = None,
 ) -> Path | None:
-    """``find_path`` over the graph's CSR adjacency, with masks.
+    """``find_path`` over the graph's adjacency, with masks.
 
     ``vertex_ok[v]`` and ``edge_ok[eid]`` (a bytearray, say) are truthy for
     the vertices and edge ids the path may use; None allows all of them.
     The caller makes sure ``a`` and ``b`` are allowed.
 
-    The search keeps one ``array('q')`` slot per vertex: the id of the edge
-    a reached vertex was reached by, whose other end is its parent.  Apart
-    from allocating that array it visits only what it reaches, so its cost
-    follows the region searched.  The scan of x's neighbors runs in edge-id
-    order, so the first allowed edge to reach a vertex is its smallest
-    allowed one; the vertices x reaches are then queued in ascending order.
-    That is the ``(vertex, edge_id)`` order ``find_path`` promises.
+    The search keeps one ``array('q')`` slot per vertex: the slot of ``ends``
+    that holds a reached vertex's parent, on the edge it was reached by.
+    Apart from allocating that array it visits only what it reaches, so its
+    cost follows the region searched.  The walk of x's slot list runs in
+    edge-id order, so the first allowed edge to reach a vertex is its
+    smallest allowed one; the vertices x reaches are then queued in
+    ascending order.  That is the ``(vertex, edge_id)`` order ``find_path``
+    promises.
     """
     if a == b:
         return Path([a], [])
-    off, nbrs, eids = g.csr()
     ends = g.ends
-    # the edge id each reached vertex was reached by; -1 unreached, -2 at a
+    head, nxt = g.adjacency()
+    # the parent's slot on the edge each reached vertex was reached by;
+    # -1 unreached, -2 at a
     via = array("q", [-1]) * g.n
     via[a] = -2
     queue = deque([a])
     while queue:
-        x = queue.popleft()
         reached = []
-        for j in range(off[x], off[x + 1]):
-            y = nbrs[j]
-            if via[y] != -1 or (vertex_ok is not None and not vertex_ok[y]):
-                continue
-            e = eids[j]
-            if edge_ok is not None and not edge_ok[e]:
-                continue
-            via[y] = e
-            if y == b:
-                verts = [b]
-                path_eids = []
-                while y != a:
-                    path_eids.append(e)
-                    y ^= ends[2 * e] ^ ends[2 * e + 1]
-                    verts.append(y)
-                    e = via[y]
-                verts.reverse()
-                path_eids.reverse()
-                return Path(verts, path_eids)
-            reached.append(y)
+        s = head[queue.popleft()]
+        while s != -1:
+            y = ends[s ^ 1]
+            if (via[y] == -1 and (vertex_ok is None or vertex_ok[y])
+                    and (edge_ok is None or edge_ok[s >> 1])):
+                via[y] = s
+                if y == b:
+                    verts = [b]
+                    path_eids = []
+                    while y != a:
+                        path_eids.append(s >> 1)
+                        y = ends[s]
+                        verts.append(y)
+                        s = via[y]
+                    verts.reverse()
+                    path_eids.reverse()
+                    return Path(verts, path_eids)
+                reached.append(y)
+            s = nxt[s]
         reached.sort()
         queue.extend(reached)
     return None

@@ -34,7 +34,7 @@ def _valid_assignments(g: Graph) -> np.ndarray:
     n = g.n
     masks = _masks(n)
     valid = np.ones(masks.shape, dtype=bool)
-    for u, v in g.pairs:
+    for u, v in g.edges():
         differs = ((masks >> (n - 1 - u)) ^ (masks >> (n - 1 - v))) & 1
         valid &= differs.astype(bool)
     return valid
@@ -72,13 +72,17 @@ def find_odd_cycle_exhaustive(g: Graph) -> OddCycle | None:
     """
     _guard(g, MAX_CYCLE_SEARCH_VERTICES, "cycle enumeration")
     n = g.n
-    off, nbrs, eids = g.csr()
-    adj_sorted = [sorted(zip(nbrs[off[x]:off[x + 1]], eids[off[x]:off[x + 1]]))
-                  for x in range(n)]
+    # each vertex's (neighbor, edge id) pairs, a loop listed once
+    adj_sorted: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     loop_at: dict[int, int] = {}
-    for eid, (u, v) in enumerate(g.pairs):
-        if u == v and u not in loop_at:
+    for eid, (u, v) in enumerate(g.edges()):
+        adj_sorted[u].append((v, eid))
+        if u != v:
+            adj_sorted[v].append((u, eid))
+        elif u not in loop_at:
             loop_at[u] = eid
+    for entries in adj_sorted:
+        entries.sort()
 
     def search(s: int, path_v: list[int], path_e: list[int], on_path: set[int]):
         x = path_v[-1]

@@ -8,9 +8,16 @@ from bicert import Graph, build_graph
 
 
 def adjacency(g: Graph, x: int) -> list[tuple[int, int]]:
-    """x's ``(neighbor, edge id)`` entries, read off the graph's CSR."""
-    off, nbr, eid = g.csr()
-    return list(zip(nbr[off[x]:off[x + 1]], eid[off[x]:off[x + 1]]))
+    """x's ``(neighbor, edge id)`` entries in edge-id order, built from
+    ``g.pairs`` and not from the graph's adjacency; a loop at x is listed
+    twice, once for each of its ends."""
+    entries = []
+    for eid, (u, v) in enumerate(g.pairs):
+        if u == x:
+            entries.append((v, eid))
+        if v == x:
+            entries.append((u, eid))
+    return entries
 
 
 def triangle() -> Graph:

@@ -31,10 +31,12 @@ from bicert import (
     check_growth_induced,
     check_incremental_flip,
     connected_components,
+    find_odd_cycle_exhaustive,
     generate,
     run_instrumented,
     verify_bipartition,
     verify_odd_cycle,
+    verify_outcome,
 )
 from conftest import five_cycle, four_cycle, graphs, k4, petersen, triangle
 
@@ -59,6 +61,24 @@ def test_recorded_first_loop_certifies_every_run(g):
         expected = CheckOutcome(odd_cycle=OddCycle([u], [loops[0]]))
         for name in ALGORITHM_NAMES:
             assert run_instrumented(g, name) == (expected, 0)
+
+
+@pytest.mark.parametrize("make, read", [
+    (four_cycle, lambda g: run_instrumented(g, "flip")),
+    (four_cycle, lambda g: run_instrumented(g, "dsu")),
+    (four_cycle, lambda g: verify_outcome(g, CheckOutcome(bipartition=Bipartition([0, 1, 0, 1])))),
+    (triangle, lambda g: verify_outcome(g, CheckOutcome(odd_cycle=OddCycle([0, 1, 2], [0, 1, 2])))),
+    (four_cycle, find_odd_cycle_exhaustive),
+    (triangle, find_odd_cycle_exhaustive),
+    (four_cycle, brute_force_bipartite),
+], ids=["flip", "dsu", "verify-sides", "verify-cycle", "oracle-none", "oracle-cycle",
+        "oracle-sides"])
+def test_edge_streaming_readers_never_build_the_adjacency(make, read):
+    # flip and dsu build it only to extract a cycle; the verifiers and the
+    # oracle read the edges alone
+    g = make()
+    read(g)
+    assert g._adj is None
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)

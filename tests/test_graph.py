@@ -6,7 +6,7 @@ import tracemalloc
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicert import (
@@ -28,14 +28,6 @@ class TestBuildGraph:
         assert g.n == 3
         assert g.m == 3
         assert g.pairs == [(0, 1), (1, 2), (2, 0)]
-
-    def test_loop_adjacency_entry_is_single(self):
-        g = build_graph(1, [(0, 0)])
-        assert adjacency(g, 0) == [(0, 0)]
-
-    def test_parallel_edges_have_distinct_ids(self):
-        g = build_graph(2, [(0, 1), (0, 1)])
-        assert adjacency(g, 0) == [(1, 0), (1, 1)]
 
     def test_endpoint_out_of_range_names_pair(self):
         with pytest.raises(InputError, match=r"\(0, 5\)"):
@@ -69,12 +61,6 @@ class TestBuildGraph:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @given(graphs())
-    def test_adjacency_length_sum(self, g):
-        loops = sum(1 for u, v in g.pairs if u == v)
-        non_loops = g.m - loops
-        assert sum(len(adjacency(g, v)) for v in range(g.n)) == 2 * non_loops + loops
-
     @pytest.mark.parametrize("pairs, eid", [
         ([(0, 1, 2)], 0),
         ([(0, 1), (0, 1, 2), (3,)], 1),  # flattened, it would read as 3 edges
@@ -100,38 +86,40 @@ class TestBuildGraph:
         assert len(g.ends) == 2 * g.m
 
 
-class TestCsr:
+class TestAdjacency:
     @given(graphs())
-    def test_matches_a_reference_built_from_pairs(self, g):
-        # edge-id order at each vertex, a loop once, parallel edges apart
-        ref = [[] for _ in range(g.n)]
-        for eid, (u, v) in enumerate(g.pairs):
-            ref[u].append((v, eid))
-            if u != v:
-                ref[v].append((u, eid))
-        off, nbr, eid = g.csr()
-        assert len(off) == g.n + 1 and off[0] == 0
-        assert off[-1] == len(nbr) == len(eid)
-        assert [adjacency(g, x) for x in range(g.n)] == ref
+    @example(build_graph(3, [(0, 1), (1, 1), (0, 1), (2, 2), (1, 0)]))
+    def test_walk_matches_a_reference_built_from_pairs(self, g):
+        # edge-id order at each vertex, parallel edges apart, a loop at both slots
+        head, nxt = g.adjacency()
+        assert len(head) == g.n and len(nxt) == len(g.ends)
+        for x in range(g.n):
+            walk = []
+            s = head[x]
+            while s != -1:
+                assert g.ends[s] == x
+                walk.append((g.ends[s ^ 1], s >> 1))
+                s = nxt[s]
+            assert walk == adjacency(g, x)
 
     def test_built_on_first_use_and_kept(self):
         g = build_graph(3, [(0, 1), (1, 2), (2, 2)])
-        assert g._csr is None
-        assert g.csr() is g.csr()
+        assert g._adj is None
+        assert g.adjacency() is g.adjacency()
 
-    def test_build_and_csr_keep_64_bytes_per_edge(self):
+    def test_build_and_adjacency_keep_40_bytes_per_edge(self):
         spec = GenSpec(kind="planted_bipartite", n_left=25_000, n_right=25_000,
                        m=100_000, seed=8)
         pairs = generate(spec).pairs
         tracemalloc.start()
         try:
             g = build_graph(50_000, pairs)
-            g.csr()
+            g.adjacency()
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kept <= 64 * len(pairs)
-        assert peak <= 80 * len(pairs)
+        assert kept <= 40 * len(pairs)
+        assert peak <= 40 * len(pairs)
 
 
 class TestSimplify:
