@@ -22,12 +22,34 @@ from bicert.graph import MAX_VERTICES, bfs_path
 from conftest import adjacency, four_cycle, graphs, triangle
 
 
+def walk(g, x):
+    """x's ``(neighbor, edge id)`` entries read from ``g.adjacency()``."""
+    head, nxt = g.adjacency()
+    entries = []
+    s = head[x]
+    while s != -1:
+        assert g.ends[s] == x
+        entries.append((g.ends[s ^ 1], s >> 1))
+        s = nxt[s]
+    return entries
+
+
 class TestBuildGraph:
     def test_triangle(self):
         g = triangle()
         assert g.n == 3
         assert g.m == 3
         assert g.pairs == [(0, 1), (1, 2), (2, 0)]
+
+    def test_loop_adjacency_entry_is_single(self):
+        # one edge id, seen once from each of its two slots
+        g = build_graph(1, [(0, 0)])
+        assert g.m == 1
+        assert walk(g, 0) == [(0, 0), (0, 0)]
+
+    def test_parallel_edges_have_distinct_ids(self):
+        g = build_graph(2, [(0, 1), (0, 1)])
+        assert walk(g, 0) == [(1, 0), (1, 1)]
 
     def test_endpoint_out_of_range_names_pair(self):
         with pytest.raises(InputError, match=r"\(0, 5\)"):
@@ -61,6 +83,11 @@ class TestBuildGraph:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @given(graphs())
+    def test_adjacency_length_sum(self, g):
+        # every slot of ends is on exactly one list, a loop's two slots included
+        assert sum(len(walk(g, v)) for v in range(g.n)) == 2 * g.m
+
     @pytest.mark.parametrize("pairs, eid", [
         ([(0, 1, 2)], 0),
         ([(0, 1), (0, 1, 2), (3,)], 1),  # flattened, it would read as 3 edges
@@ -86,22 +113,27 @@ class TestBuildGraph:
         assert len(g.ends) == 2 * g.m
 
 
-class TestAdjacency:
+class TestCsr:
     @given(graphs())
     @example(build_graph(3, [(0, 1), (1, 1), (0, 1), (2, 2), (1, 0)]))
-    def test_walk_matches_a_reference_built_from_pairs(self, g):
-        # edge-id order at each vertex, parallel edges apart, a loop at both slots
-        head, nxt = g.adjacency()
-        assert len(head) == g.n and len(nxt) == len(g.ends)
+    def test_matches_a_reference_built_from_pairs(self, g):
+        # the head/nxt walks read as a CSR built from the pairs: edge-id order
+        # at each vertex, parallel edges apart, a loop at both of its slots
+        off, nbr = [0] * (g.n + 1), []
         for x in range(g.n):
-            walk = []
-            s = head[x]
-            while s != -1:
-                assert g.ends[s] == x
-                walk.append((g.ends[s ^ 1], s >> 1))
-                s = nxt[s]
-            assert walk == adjacency(g, x)
+            for eid, (u, v) in enumerate(g.pairs):
+                if u == x:
+                    nbr.append((v, eid))
+                if v == x:
+                    nbr.append((u, eid))
+            off[x + 1] = len(nbr)
+        head, nxt = g.adjacency()
+        assert len(head) == g.n and len(nxt) == len(g.ends) == off[-1]
+        for x in range(g.n):
+            assert walk(g, x) == nbr[off[x]:off[x + 1]] == adjacency(g, x)
 
+
+class TestAdjacency:
     def test_built_on_first_use_and_kept(self):
         g = build_graph(3, [(0, 1), (1, 2), (2, 2)])
         assert g._adj is None
