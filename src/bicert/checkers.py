@@ -13,9 +13,9 @@ takes a genuinely different route:
 * ``check_forest_recolor``   colors a BFS spanning forest by peeling its
   smallest leaf, one linear scan over the degrees and neighbor XORs the BFS
   recorded, then re-examines the leftover edges; a clash yields the
-  fundamental cycle: the tree path read off the forest's BFS parents (one
-  end climbs to its root, the other until it meets that climb), then the
-  clashing edge.
+  fundamental cycle: the tree path read off the forest's BFS parents (both
+  ends, which share a BFS depth, climb in lockstep until they meet), then
+  the clashing edge.
 
 All four process edges (and seed vertices) in id order, so their output is a
 pure function of the input graph.  flip and dsu stream the edges off
@@ -241,7 +241,7 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
     head, nxt = g.adjacency()
     visited = bytearray(n)
     is_tree = bytearray(g.m)
-    up = array("q", [-1]) * n  # each vertex's tree edge to its BFS parent; -1 at a root
+    up = array("q", [-1]) * n  # the slot of ends holding each vertex's parent; -1 at a root
     deg = array("q", [0]) * n  # forest degree
     nbrs = array("q", [0]) * n  # XOR of forest neighbors
     for seed in range(n):
@@ -258,9 +258,8 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
                 y = ends[s ^ 1]
                 if not visited[y]:
                     visited[y] = 1
-                    eid = s >> 1
-                    is_tree[eid] = 1
-                    up[y] = eid
+                    is_tree[s >> 1] = 1
+                    up[y] = s
                     deg[y] = 1
                     nbrs[y] = x
                     kids += 1
@@ -282,26 +281,25 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
 
 
 def _tree_cycle(ends: array, up: array, a: int, b: int, eid: int) -> OddCycle:
-    """The tree path a..b, then ``eid``: b climbs until it meets a's climb to the root."""
-    a_verts, a_eids = [a], []
-    e = up[a]
-    while e != -1:
-        a ^= ends[2 * e] ^ ends[2 * e + 1]
+    """The tree path a..b, then ``eid``: a and b climb in lockstep until they meet.
+
+    A same-side non-tree edge joins two vertices at one BFS depth, so the
+    climbs meet at their lowest common ancestor; a root reached first means
+    that did not hold.
+    """
+    a_verts, a_eids, b_verts, b_eids = [a], [], [], []
+    while a != b:
+        sa = up[a]
+        sb = up[b]
+        if sa == -1 or sb == -1:
+            raise InternalInvariantError("a clashing edge joins two BFS depths")
+        b_verts.append(b)  # stops below the meeting vertex, which ends a's part
+        a = ends[sa]
+        b = ends[sb]
         a_verts.append(a)
-        a_eids.append(e)
-        e = up[a]
-    on_a = {v: i for i, v in enumerate(a_verts)}
-    b_verts, b_eids = [b], []
-    while b not in on_a:
-        e = up[b]
-        b ^= ends[2 * e] ^ ends[2 * e + 1]
-        b_verts.append(b)
-        b_eids.append(e)
-    i = on_a[b]
-    b_verts.pop()  # the meeting vertex ends a's part already
-    b_verts.reverse()
-    b_eids.reverse()
-    return OddCycle(a_verts[:i + 1] + b_verts, a_eids[:i] + b_eids + [eid])
+        a_eids.append(sa >> 1)
+        b_eids.append(sb >> 1)
+    return OddCycle(a_verts + b_verts[::-1], a_eids + b_eids[::-1] + [eid])
 
 
 def check_growth_induced(g: Graph) -> CheckOutcome:

@@ -117,12 +117,11 @@ def parse_edge_list(text: str) -> Graph:
 
 def _walk_edge_list(text: str) -> Graph:
     declared: int | None = None
-    header_possible = True
     pairs: list[tuple[int, int]] = []
     for line_no, tokens in _lines(text):
         if tokens[0].startswith("#"):
             continue
-        if header_possible and tokens[0] == "n":
+        if declared is None and not pairs and tokens[0] == "n":
             if len(tokens) != 2:
                 raise ParseError("header must be 'n <count>'", line_no)
             declared = _int_token(tokens[1], line_no, "vertex count")
@@ -131,9 +130,7 @@ def _walk_edge_list(text: str) -> Graph:
                     f"vertex count {declared} exceeds the limit of {MAX_VERTICES}",
                     line_no,
                 )
-            header_possible = False
             continue
-        header_possible = False
         if len(tokens) != 2:
             raise ParseError(f"expected 'u v', got {len(tokens)} tokens", line_no)
         u = _int_token(tokens[0], line_no, "vertex id")

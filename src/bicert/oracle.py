@@ -87,9 +87,7 @@ def find_odd_cycle_exhaustive(g: Graph) -> OddCycle | None:
     def search(s: int, path_v: list[int], path_e: list[int], on_path: set[int]):
         x = path_v[-1]
         for nbr, eid in adj_sorted[x]:
-            if nbr == s:
-                if len(path_v) < 2:
-                    continue
+            if nbr == s:  # x is not s: a loop at s returns before search(s)
                 if len(path_v) == 2 and eid == path_e[0]:
                     continue  # reusing the entry edge is a walk, not a cycle
                 if len(path_v) % 2 == 1:

@@ -154,6 +154,14 @@ class TestGrowth:
             run_instrumented(k4(), "growth")
 
 
+@pytest.mark.parametrize("name", ["flip", "dsu"])
+def test_unconnected_certificate_endpoints_are_an_invariant_error(name, monkeypatch):
+    # flip and dsu search their even path with bfs_path; None there is a bug
+    monkeypatch.setattr(checkers, "bfs_path", lambda *args, **kwargs: None)
+    with pytest.raises(InternalInvariantError, match="endpoints not connected"):
+        run_instrumented(triangle(), name)
+
+
 class TestIncrementalFlip:
     def test_triangle_third_edge_closes(self):
         out, flips = run_instrumented(triangle(), "flip")
@@ -311,6 +319,14 @@ class TestForestRecolor:
     def test_examined_counter_skips_tree_edges(self):
         _, examined = run_instrumented(four_cycle(), "forest")
         assert examined == 1
+
+    def test_clash_across_two_bfs_depths_is_an_invariant_error(self, monkeypatch):
+        # with every vertex on side 0, the clash is edge 2 = (2, 3) at BFS
+        # depths 2 and 1; the lockstep climb reaches the root 0 from 3 first
+        # instead of returning the even closed walk [2, 1, 0, 3]
+        monkeypatch.setattr(checkers, "_peel", lambda deg, nbrs: [0] * len(deg))
+        with pytest.raises(InternalInvariantError, match="two BFS depths"):
+            run_instrumented(four_cycle(), "forest")
 
 
 class TestCheckDispatch:

@@ -384,6 +384,17 @@ class TestBench:
                          "--seeds", "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("kind, cell, message", [
+        ("random", "a,b", "size 'a,b' must be two integers"),
+        ("planted-odd-cycle", "2,0", "size n=2 is smaller than cycle_len=3"),
+    ], ids=["not-integers", "below-cycle-len"])
+    def test_unusable_size_cell_is_named(self, kind, cell, message, capsys):
+        code = cli.main(["bench", "--kinds", kind, "--sizes", cell, "--seeds", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("cell, name, value", [("-3,2", "n", -3), ("10,-5", "m", -5)])
     @pytest.mark.parametrize("kind", ["random", "forest"])
     def test_negative_size_cell_is_named(self, cell, name, value, kind, capsys):
@@ -666,3 +677,22 @@ class TestCheckMemory:
                 tracemalloc.stop()
         assert code == 0
         assert peak / self.N <= self.BOUNDS[algo]
+
+    def test_forest_certificate_at_the_far_end_of_a_path(self, tmp_path, monkeypatch):
+        # a 10⁵-vertex path closed into a triangle at its far end: forest's
+        # fundamental cycle costs its own 3 edges, not the tree's depth (the
+        # climb of one end to its root into a dict measured 272 B per vertex)
+        n = 100_000
+        path = tmp_path / "g.txt"
+        path.write_text(f"n {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+                        + f"{n - 3} {n - 1}\n")
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            try:
+                code = cli.main(["check", str(path), "--algo", "forest"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 1
+        assert peak / n <= 128

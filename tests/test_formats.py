@@ -102,6 +102,12 @@ class TestParseEdgeList:
         with pytest.raises(ParseError, match="line 2"):
             parse_edge_list("0 1\nn 5\n")
 
+    @pytest.mark.parametrize("text", ["n\n", "n 5 6\n"], ids=["no-count", "two-counts"])
+    def test_header_of_the_wrong_width_is_an_error(self, text):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == "line 1: header must be 'n <count>'"
+
     @given(graphs())
     def test_round_trip(self, g):
         assert parse_edge_list(write_edge_list(g)) == g
