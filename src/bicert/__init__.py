@@ -20,10 +20,6 @@ from .certificates import (
 from .checkers import (
     ALGORITHM_NAMES,
     check,
-    check_dsu_parity,
-    check_forest_recolor,
-    check_growth_induced,
-    check_incremental_flip,
     run_instrumented,
 )
 from .errors import (
@@ -77,10 +73,6 @@ __all__ = [
     "build_graph",
     "canonicalize_bipartition",
     "check",
-    "check_dsu_parity",
-    "check_forest_recolor",
-    "check_growth_induced",
-    "check_incremental_flip",
     "check_path_parity",
     "connected_components",
     "count_proper_2colorings",

@@ -60,8 +60,9 @@ class CheckOutcome:
 def verify_bipartition(g: Graph, bp: Bipartition) -> bool:
     """True iff ``bp`` is a total 0/1 assignment separating every edge.
 
-    A partial or non-binary assignment is an input error, not a False.
-    Loops can never be separated, so any loop forces False.
+    A partial or non-binary assignment is an input error, not a False
+    (``verify_outcome`` reads it as False).  Loops can never be separated,
+    so any loop forces False.
     """
     side = bp.side
     if len(side) != g.n:
@@ -103,9 +104,16 @@ def verify_odd_cycle(g: Graph, cycle: OddCycle) -> bool:
 
 
 def verify_outcome(g: Graph, outcome: CheckOutcome) -> bool:
-    """Run the matching verifier for whichever certificate is present."""
+    """Run the matching verifier for whichever certificate is present.
+
+    A certificate too malformed to verify (a partial or non-binary
+    assignment, or any malformed cycle) is False here, never an error.
+    """
     if outcome.bipartition is not None:
-        return verify_bipartition(g, outcome.bipartition)
+        try:
+            return verify_bipartition(g, outcome.bipartition)
+        except InputError:
+            return False
     return verify_odd_cycle(g, outcome.odd_cycle)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from array import array
 from itertools import chain, repeat
 from operator import sub
 from typing import Iterator
@@ -117,11 +118,11 @@ def parse_edge_list(text: str) -> Graph:
 
 def _walk_edge_list(text: str) -> Graph:
     declared: int | None = None
-    pairs: list[tuple[int, int]] = []
+    ids = array("q")  # u and v of each edge in turn, range-checked first
     for line_no, tokens in _lines(text):
         if tokens[0].startswith("#"):
             continue
-        if declared is None and not pairs and tokens[0] == "n":
+        if declared is None and not ids and tokens[0] == "n":
             if len(tokens) != 2:
                 raise ParseError("header must be 'n <count>'", line_no)
             declared = _int_token(tokens[1], line_no, "vertex count")
@@ -145,11 +146,11 @@ def _walk_edge_list(text: str) -> Graph:
                 f"vertex id {max(u, v)} exceeds the limit of {MAX_VERTICES} vertices",
                 line_no,
             )
-        pairs.append((u, v))
-    n = declared if declared is not None else (
-        1 + max((max(u, v) for u, v in pairs), default=-1)
-    )
-    return build_graph(n, pairs)
+        ids.append(u)
+        ids.append(v)
+    n = declared if declared is not None else 1 + max(ids, default=-1)
+    it = iter(ids)
+    return build_graph(n, zip(it, it))
 
 
 def write_edge_list(g: Graph) -> str:
@@ -181,7 +182,7 @@ def parse_dimacs(text: str) -> Graph:
 def _walk_dimacs(text: str) -> Graph:
     n: int | None = None
     declared_m = 0
-    pairs: list[tuple[int, int]] = []
+    ids = array("q")  # u - 1 and v - 1 of each edge in turn, range-checked first
     for line_no, tokens in _lines(text):
         if tokens[0].startswith("c"):
             continue
@@ -207,16 +208,18 @@ def _walk_dimacs(text: str) -> Graph:
                 raise ParseError(
                     f"vertex ids must lie in [1, {n}]: {u} {v}", line_no
                 )
-            pairs.append((u - 1, v - 1))
+            ids.append(u - 1)
+            ids.append(v - 1)
         else:
             raise ParseError(f"unknown line type {tokens[0]!r}", line_no)
     if n is None:
         raise ParseError("missing problem line")
-    if len(pairs) != declared_m:
+    if len(ids) != 2 * declared_m:
         raise ParseError(
-            f"problem line declared {declared_m} edges, found {len(pairs)}"
+            f"problem line declared {declared_m} edges, found {len(ids) >> 1}"
         )
-    return build_graph(n, pairs)
+    it = iter(ids)
+    return build_graph(n, zip(it, it))
 
 
 def write_dimacs(g: Graph) -> str:

@@ -19,6 +19,7 @@ from bicert import (
     flip_component,
     verify_bipartition,
     verify_odd_cycle,
+    verify_outcome,
 )
 from conftest import four_cycle, graphs, triangle
 
@@ -45,6 +46,13 @@ class TestVerifyBipartition:
 
     def test_empty_graph(self):
         assert verify_bipartition(build_graph(0, []), Bipartition([]))
+
+
+class TestVerifyOutcome:
+    @pytest.mark.parametrize("side", [[0, 1], [0, 1, 2]], ids=["partial", "non-binary"])
+    def test_malformed_assignment_is_false(self, side):
+        # verify_bipartition raises for these; the outcome verifier rejects them
+        assert verify_outcome(triangle(), CheckOutcome(bipartition=Bipartition(side))) is False
 
 
 class TestVerifyOddCycle:

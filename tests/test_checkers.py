@@ -26,10 +26,6 @@ from bicert import (
     build_graph,
     canonicalize_bipartition,
     check,
-    check_dsu_parity,
-    check_forest_recolor,
-    check_growth_induced,
-    check_incremental_flip,
     connected_components,
     find_odd_cycle_exhaustive,
     generate,
@@ -39,13 +35,6 @@ from bicert import (
     verify_outcome,
 )
 from conftest import five_cycle, four_cycle, graphs, k4, petersen, triangle
-
-ALL_CHECKERS = dict(zip(ALGORITHM_NAMES, (
-    check_growth_induced,
-    check_incremental_flip,
-    check_dsu_parity,
-    check_forest_recolor,
-)))
 
 
 def canonical(g, outcome):
@@ -84,42 +73,42 @@ def test_edge_streaming_readers_never_build_the_adjacency(make, read):
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
 class TestCommonBehavior:
     def test_empty_graph(self, name):
-        out = ALL_CHECKERS[name](build_graph(0, []))
+        out = check(build_graph(0, []), name)
         assert out.is_bipartite and out.bipartition.side == []
 
     def test_single_vertex(self, name):
-        out = ALL_CHECKERS[name](build_graph(1, []))
+        out = check(build_graph(1, []), name)
         assert out.bipartition.side == [0]
 
     def test_loop_certified_first(self, name):
         # edge order puts a loop after other edges; the pre-pass still wins
         g = build_graph(3, [(0, 1), (1, 2), (2, 2), (1, 1)])
-        out = ALL_CHECKERS[name](g)
+        out = check(g, name)
         assert out.odd_cycle.vertices == [2]
         assert out.odd_cycle.edge_ids == [2]
         # the pre-pass runs before the checker, so no work is counted
         assert run_instrumented(g, name) == (out, 0)
 
     def test_four_cycle_canonical_sides(self, name):
-        out = ALL_CHECKERS[name](four_cycle())
+        out = check(four_cycle(), name)
         assert verify_bipartition(four_cycle(), out.bipartition)
         assert canonical(four_cycle(), out).side == [0, 1, 0, 1]
 
     def test_triangle_certificate_verifies(self, name):
         g = triangle()
-        out = ALL_CHECKERS[name](g)
+        out = check(g, name)
         assert out.branch == "odd_cycle"
         assert out.odd_cycle.length == 3
         assert verify_odd_cycle(g, out.odd_cycle)
 
     def test_parallel_edges_keep_verdict(self, name):
         g = build_graph(2, [(0, 1), (0, 1), (1, 0)])
-        out = ALL_CHECKERS[name](g)
+        out = check(g, name)
         assert verify_bipartition(g, out.bipartition)
 
     def test_isolated_vertices_get_side_zero(self, name):
         g = build_graph(4, [(1, 2)])
-        out = ALL_CHECKERS[name](g)
+        out = check(g, name)
         assert canonical(g, out).side[0] == 0
         assert canonical(g, out).side[3] == 0
 
@@ -136,12 +125,12 @@ class TestGrowth:
         assert brute_force_bipartite(k4()) is None
 
     def test_triangle_frozen_certificate(self):
-        out = check_growth_induced(triangle())
+        out = check(triangle(), "growth")
         assert out.odd_cycle.vertices == [0, 1, 2]
         assert out.odd_cycle.edge_ids == [0, 1, 2]
 
     def test_four_cycle_exact_sides(self):
-        assert check_growth_induced(four_cycle()).bipartition.side == [0, 1, 0, 1]
+        assert check(four_cycle(), "growth").bipartition.side == [0, 1, 0, 1]
 
     def test_absorption_counter_counts_vertices(self):
         _, absorbed = run_instrumented(four_cycle(), "growth")
@@ -193,7 +182,7 @@ class TestIncrementalFlip:
 
 class TestDsuParity:
     def test_four_cycle_raw_sides(self):
-        out = check_dsu_parity(four_cycle())
+        out = check(four_cycle(), "dsu")
         assert out.bipartition.side == [0, 1, 0, 1]
 
     def test_five_cycle_frozen_certificate(self):
@@ -206,7 +195,7 @@ class TestDsuParity:
 
     def test_matches_oracle_on_seeded_random(self):
         g = generate(GenSpec(kind="random", n=12, m=20, seed=7))
-        out = check_dsu_parity(g)
+        out = check(g, "dsu")
         oracle_bp = brute_force_bipartite(g)
         assert out.is_bipartite == (oracle_bp is not None)
 
@@ -219,7 +208,7 @@ class TestDsuParity:
 def peel(g):
     # on a forest input the BFS forest is the graph itself, so the forest
     # checker's coloring is the leaf peel's
-    return check_forest_recolor(g).bipartition
+    return check(g, "forest").bipartition
 
 
 @st.composite
@@ -312,7 +301,7 @@ class TestForestRecolor:
         assert verify_odd_cycle(g, out.odd_cycle)
 
     def test_triangle_certificate(self):
-        out = check_forest_recolor(triangle())
+        out = check(triangle(), "forest")
         assert out.odd_cycle.vertices == [1, 0, 2]
         assert out.odd_cycle.edge_ids == [0, 2, 1]
 

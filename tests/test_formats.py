@@ -393,6 +393,27 @@ def test_bad_id_in_writer_layout_allocates_no_adjacency():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("parse, text_of", [
+    (parse_edge_list, lambda g: write_edge_list(g).partition("\n")[2]),  # no header
+    (parse_dimacs, lambda g: "c hand\n" + write_dimacs(g)),  # a comment first
+], ids=["edge-list", "dimacs"])
+def test_line_walk_keeps_endpoints_flat(parse, text_of):
+    # neither text is in its writer's layout, so the line walk reads it; its
+    # ids go into one array of 64-bit slots, not one tuple per edge
+    m = 10**5
+    g = generate(GenSpec(kind="planted_bipartite", n_left=25_000, n_right=25_000,
+                         m=m, seed=1))
+    text = text_of(g)
+    tracemalloc.start()
+    try:
+        parsed = parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed.ends == g.ends
+    assert peak <= 120 * m
+
+
 @given(_FUZZ_TEXT)
 def test_fuzz_only_parse_errors_escape(text):
     for parse, walk in ((parse_edge_list, formats._walk_edge_list),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bicert import (
     GenSpec,
+    Graph,
     InputError,
     build_graph,
     connected_components,
@@ -105,6 +106,11 @@ class TestBuildGraph:
     def test_first_bad_pair_is_named_before_an_oversized_one(self):
         with pytest.raises(InputError, match=r"^edge 1 endpoint pair \(0, 9\)"):
             build_graph(5, [(0, 1), (0, 9), (-(2**70), 0)])
+
+    def test_equality_with_a_non_graph(self):
+        g = build_graph(2, [(0, 1)])
+        assert g != (2, [(0, 1)])
+        assert Graph.__eq__(g, 5) is NotImplemented
 
     @given(graphs())
     def test_pairs_and_edges_read_back_the_input(self, g):
