@@ -19,13 +19,13 @@ takes a genuinely different route:
 All four process edges (and seed vertices) in id order, so their output is a
 pure function of the input graph.  flip and dsu stream the edges off
 ``Graph.ends``; growth and forest scan each vertex's neighbors once, by
-walking its slot list in the graph's adjacency, which the first of them to
-run builds.
+walking its slot list in the graph's adjacency, which ``Graph.adjacency``
+builds on the first call and keeps.
 ``run_instrumented`` certifies loops in a pre-pass as length-1 odd cycles
 before any checker runs, so no walk meets a loop.  ``check`` dispatches by
 name and re-verifies the result before returning it.  Certificate
 extraction searches only the region it needs: flip and dsu run a masked BFS
-over the adjacency (building it if no checker has), forest walks tree
+over the adjacency (building it if nothing has yet), forest walks tree
 parents.
 
 Per-vertex state is flat: bytearrays for flags and sides, ``array('q')``

@@ -12,8 +12,10 @@ import argparse
 import csv
 import gc
 import json
+import marshal
 import os
 import re
+import signal
 import sys
 import time
 import traceback
@@ -23,7 +25,7 @@ from operator import not_
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .certificates import CheckOutcome, verify_outcome
+from .certificates import Bipartition, CheckOutcome, OddCycle, verify_outcome
 from .checkers import ALGORITHM_NAMES, run_instrumented
 from .errors import InputError, InternalInvariantError, ParseError
 from .formats import parse_dimacs, parse_edge_list, write_dimacs, write_dot, write_edge_list
@@ -46,26 +48,130 @@ BENCH_CSV_HEADER = (
 )
 
 
-def _certified_runs(
-    g: Graph, algorithms: tuple[str, ...]
-) -> list[tuple[CheckOutcome, int, int]]:
+# a run of four checkers on at least this many edges splits them over two
+# processes; below it the fork costs more than it saves (measured crossover
+# on a 2-core machine: 2-4 ms lost at 1e3-4e3 edges, 6 ms won at 1.6e4)
+_FORK_EDGES = 1 << 14
+
+_Run = tuple[CheckOutcome, int, int]  # outcome, ops counter, wall nanoseconds
+
+
+def _verified_run(g: Graph, name: str) -> _Run:
+    """Run one checker and verify its certificate; time the checker alone."""
+    t0 = time.perf_counter_ns()
+    outcome, ops = run_instrumented(g, name)
+    elapsed = time.perf_counter_ns() - t0
+    if not verify_outcome(g, outcome):
+        raise InternalInvariantError(
+            f"checker {name!r} returned a certificate its verifier rejects"
+        )
+    return outcome, ops, elapsed
+
+
+def _worth_forking(g: Graph, algorithms: tuple[str, ...]) -> bool:
+    """Whether splitting ``algorithms`` over two processes can pay."""
+    if len(algorithms) < 2 or g.m < _FORK_EDGES or not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _worker_half(g: Graph, names: tuple[str, ...], pipe: int) -> None:
+    """In the forked worker: run ``names`` and send the answer; never returns.
+
+    The answer is marshalled: per checker its side as bytes or its cycle's
+    two lists, its ops counter and its nanoseconds; or the message of an
+    InternalInvariantError; or the traceback of any other exception.
+    """
+    try:
+        try:
+            runs = [_verified_run(g, name) for name in names]
+            answer = marshal.dumps(("runs", [
+                (bytes(outcome.bipartition.side) if outcome.is_bipartite
+                 else (outcome.odd_cycle.vertices, outcome.odd_cycle.edge_ids), ops, elapsed)
+                for outcome, ops, elapsed in runs
+            ]))
+        except InternalInvariantError as exc:
+            answer = marshal.dumps(("invariant", str(exc)))
+        except Exception:  # sent whole; the parent prints it and exits 3
+            answer = marshal.dumps(("error", traceback.format_exc()))
+        with os.fdopen(pipe, "wb") as out:
+            out.write(answer)
+    finally:
+        os._exit(0)  # no atexit handlers and no flush of the parent's buffers
+
+
+def _worker_runs(answer: bytes, status: int) -> list[_Run]:
+    """The worker's runs, read back from its ``answer``; its failure raised here."""
+    try:
+        kind, body = marshal.loads(answer)
+    except (EOFError, ValueError):  # nothing, or cut short
+        raise InternalInvariantError(
+            f"the checker worker ended without an answer (wait status {status},"
+            f" exit code {os.waitstatus_to_exitcode(status)})"
+        ) from None
+    if kind == "invariant":
+        raise InternalInvariantError(body)
+    if kind == "error":
+        sys.stderr.write(body)
+        raise InternalInvariantError("the checker worker raised " + body.splitlines()[-1])
+    return [
+        (CheckOutcome(bipartition=Bipartition(list(certificate)))
+         if isinstance(certificate, bytes) else CheckOutcome(odd_cycle=OddCycle(*certificate)),
+         ops, elapsed)
+        for certificate, ops, elapsed in body
+    ]
+
+
+def _two_halves(g: Graph, algorithms: tuple[str, ...]) -> list[_Run]:
+    """``algorithms[0::2]`` here and ``algorithms[1::2]`` in a forked worker.
+
+    Each process builds the adjacency its own checkers ask for.  The worker
+    is reaped before this returns or raises: killed first if its answer
+    was not read (this half raised).  bicert starts no threads, so the
+    fork copies a process in a consistent state.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare (EAGAIN, ENOMEM): all of them here
+        os.close(read_end)
+        os.close(write_end)
+        return [_verified_run(g, name) for name in algorithms]
+    if pid == 0:
+        os.close(read_end)
+        _worker_half(g, algorithms[1::2], write_end)
+    os.close(write_end)
+    answer = None
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            mine = [_verified_run(g, name) for name in algorithms[0::2]]
+            answer = pipe.read()
+    finally:
+        if answer is None:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    runs: list = [None] * len(algorithms)
+    runs[0::2], runs[1::2] = mine, _worker_runs(answer, status)
+    return runs
+
+
+def _certified_runs(g: Graph, algorithms: tuple[str, ...]) -> list[_Run]:
     """Run and verify each checker; the verdicts must agree.
 
     Returns, per algorithm, its outcome, ops counter and wall nanoseconds
-    around the checker only.  Raises InternalInvariantError when a
-    certificate fails its verifier, is too malformed to verify, or the
-    algorithms disagree.
+    around the checker only.  With two or more algorithms, at least
+    ``_FORK_EDGES`` edges and more than one CPU to run on, every second
+    algorithm runs in a forked worker process while the others run here.
+    Raises InternalInvariantError when a certificate fails its verifier,
+    is too malformed to verify, or the algorithms disagree, and when the
+    worker fails or ends without an answer.
     """
-    runs = []
-    for name in algorithms:
-        t0 = time.perf_counter_ns()
-        outcome, ops = run_instrumented(g, name)
-        elapsed = time.perf_counter_ns() - t0
-        if not verify_outcome(g, outcome):
-            raise InternalInvariantError(
-                f"checker {name!r} returned a certificate its verifier rejects"
-            )
-        runs.append((outcome, ops, elapsed))
+    if _worth_forking(g, algorithms):
+        runs = _two_halves(g, algorithms)
+    else:
+        runs = [_verified_run(g, name) for name in algorithms]
     if len({outcome.branch for outcome, _, _ in runs}) > 1:
         raise InternalInvariantError(
             "algorithms disagree: " + ", ".join(

@@ -27,9 +27,9 @@ _DIMACS_LAYOUT = (
     re.compile(r"p edge [0-9]+ [0-9]+\n"),
     re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)"),
 )
-# the bulk read splits newline-aligned chunks of about this many characters,
-# so that one chunk's tokens are alive at a time, not the whole file's: about
-# 1 MiB of token strs and ints per chunk
+# the bulk read and the line walk split newline-aligned chunks of about this
+# many characters, so that one chunk's tokens or lines are alive at a time,
+# not the whole file's: about 1 MiB of strs and ints per chunk
 _CHUNK = 1 << 16
 # tokens on a line are separated by spaces and tabs, nothing else
 _SEPARATOR = re.compile(r"[ \t]+")
@@ -41,10 +41,18 @@ def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
     Lines end at ``\\n`` only, optionally preceded by ``\\r``; spaces and
     tabs around and between tokens are dropped.
     """
-    for line_no, raw in enumerate(text.split("\n"), 1):
-        line = raw.removesuffix("\r").strip(" \t")
-        if line:
-            yield line_no, _SEPARATOR.split(line)
+    line_no = 0
+    begin = 0
+    while True:
+        end = text.find("\n", begin + _CHUNK)
+        for raw in (text[begin:] if end < 0 else text[begin:end]).split("\n"):
+            line_no += 1
+            line = raw.removesuffix("\r").strip(" \t")
+            if line:
+                yield line_no, _SEPARATOR.split(line)
+        if end < 0:
+            return
+        begin = end + 1
 
 
 def _edge_lines_start(text: str, layout: tuple[re.Pattern, re.Pattern]) -> int:

@@ -9,6 +9,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -22,6 +23,7 @@ import bicert.cli as cli
 from bicert import ALGORITHM_NAMES, Bipartition, CheckOutcome, OddCycle, build_graph
 from bicert.checkers import run_instrumented
 from bicert.formats import parse_edge_list, write_edge_list
+from bicert.generators import GenSpec, generate
 from conftest import graphs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -308,6 +310,172 @@ class TestGen:
         first = capsys.readouterr().out
         cli.main(argv)
         assert capsys.readouterr().out == first
+
+
+# graphs of twice the size at which --algo all splits over two processes
+BIG = {
+    "bipartite": GenSpec(kind="planted_bipartite", n_left=8_000, n_right=8_000,
+                         m=2 * cli._FORK_EDGES, seed=15),
+    "odd": GenSpec(kind="planted_odd_cycle", n_left=8_000, n_right=8_000,
+                   m=2 * cli._FORK_EDGES, cycle_len=31, seed=15),
+}
+
+
+@pytest.fixture(scope="module", params=list(BIG))
+def big(request, tmp_path_factory):
+    """(graph, path of its edge list, exit code) for each graph of ``BIG``."""
+    g = generate(BIG[request.param])
+    path = tmp_path_factory.mktemp("big") / f"{request.param}.txt"
+    path.write_text(write_edge_list(g))
+    return g, str(path), 0 if request.param == "bipartite" else 1
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each fork made since, through the real ``os.fork``."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestTwoProcesses:
+    """With at least ``_FORK_EDGES`` edges, flip and forest run in a forked worker."""
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_all_is_the_four_singles_joined(self, big, flags, forks, capsys):
+        g, path, code = big
+        assert cli.main(["check", path, *flags]) == code
+        out = capsys.readouterr().out
+        assert len(forks) == 1
+        singles = []
+        for name in ALGORITHM_NAMES:
+            assert cli.main(["check", path, "--algo", name, *flags]) == code
+            singles.append(capsys.readouterr().out)
+        assert len(forks) == 1  # a single checker runs here
+        if flags:
+            reports = [report for single in singles for report in json.loads(single)]
+            assert out == json.dumps(reports, indent=2) + "\n"
+        else:
+            assert out == "".join(singles)
+        assert_no_child_left()
+
+    def test_runs_are_the_serial_runs(self, big, forks):
+        g = big[0]
+        runs = cli._certified_runs(g, ALGORITHM_NAMES)
+        assert len(forks) == 1
+        assert [(outcome, ops) for outcome, ops, _ in runs] == [
+            run_instrumented(g, name) for name in ALGORITHM_NAMES
+        ]
+        for outcome, _, _ in runs:
+            if outcome.is_bipartite:
+                assert type(outcome.bipartition.side) is list
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("rejected", "checker 'flip' returned a certificate its verifier rejects"),
+        ("raises", "the checker worker raised RuntimeError: flip broke"),
+        ("exits", "the checker worker ended without an answer"
+                  " (wait status 2304, exit code 9)"),
+    ])
+    def test_worker_failure_is_three(self, fault, message, big, forks, capsys,
+                                     monkeypatch):
+        run = cli.run_instrumented
+
+        def faulty(g, algorithm):
+            if algorithm != "flip":
+                return run(g, algorithm)
+            if fault == "rejected":
+                return CheckOutcome(bipartition=Bipartition([0] * g.n)), 0
+            if fault == "raises":
+                raise RuntimeError("flip broke")
+            os._exit(9)
+
+        monkeypatch.setattr(cli, "run_instrumented", faulty)
+        assert cli.main(["check", big[1]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"internal error: {message}\n")
+        if fault == "raises":  # the worker's own traceback comes first
+            assert captured.err.startswith("Traceback (most recent call last):\n")
+            assert "\nRuntimeError: flip broke\n" in captured.err
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_failing_half_here_kills_the_worker(self, big, forks, capsys, monkeypatch):
+        run = cli.run_instrumented
+
+        def faulty(g, algorithm):
+            if algorithm == "growth":
+                raise RuntimeError("growth broke")
+            if algorithm == "flip":
+                time.sleep(60)  # a worker that was waited for, not killed, takes this long
+            return run(g, algorithm)
+
+        monkeypatch.setattr(cli, "run_instrumented", faulty)
+        t0 = time.monotonic()
+        assert cli.main(["check", big[1]]) == 3
+        assert time.monotonic() - t0 < 30
+        assert "internal error: RuntimeError: growth broke" in capsys.readouterr().err
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_the_threshold_is_fork_edges(self, forks):
+        for m, forked in ((cli._FORK_EDGES - 1, 0), (cli._FORK_EDGES, 1)):
+            g = generate(GenSpec(kind="planted_bipartite", n_left=2_000, n_right=2_000,
+                                 m=m, seed=1))
+            cli._certified_runs(g, ALGORITHM_NAMES)
+            assert len(forks) == forked
+        assert_no_child_left()
+
+    def test_below_the_threshold_or_on_one_cpu_nothing_forks(self, big, capsys,
+                                                            monkeypatch):
+        path, code = big[1], big[2]
+
+        def no_fork():
+            raise RuntimeError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        small = generate(GenSpec(kind="planted_bipartite", n_left=2_000, n_right=2_000,
+                                 m=cli._FORK_EDGES - 1, seed=1))
+        assert len(cli._certified_runs(small, ALGORITHM_NAMES)) == 4
+        assert cli.main(["check", path, "--algo", "forest"]) == code
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert cli.main(["check", path]) == code
+        assert "verdict" in capsys.readouterr().out
+
+    def test_no_process_to_spare_runs_all_here(self, big, capsys, monkeypatch):
+        path, code = big[1], big[2]
+        assert cli.main(["check", path]) == code
+        expected = capsys.readouterr().out
+
+        def no_process():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        assert cli.main(["check", path]) == code
+        assert capsys.readouterr().out == expected
+
+    def test_bench_cell_at_the_threshold_forks(self, forks, capsys):
+        assert cli.main(["bench", "--kinds", "planted-bipartite", "--sizes",
+                         f"4000,{cli._FORK_EDGES}", "--seeds", "1", "--repeat", "2"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert [row[0] for row in rows] == sorted(2 * list(ALGORITHM_NAMES))
+        assert {row[6] for row in rows} == {"bipartite"}
+        assert len(forks) == 2
+        assert_no_child_left()
 
 
 class TestBench:

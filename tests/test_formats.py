@@ -411,7 +411,24 @@ def test_line_walk_keeps_endpoints_flat(parse, text_of):
     finally:
         tracemalloc.stop()
     assert parsed.ends == g.ends
-    assert peak <= 120 * m
+    assert peak <= 48 * m
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8, 1 << 16])
+@pytest.mark.parametrize("text", [
+    "", "\n", "0 1", "0 1\n", "\n\n0 1\r\n \t\n2\t 3 \n\n", "# c\n0 1\n" * 7 + "4 5",
+])
+def test_lines_in_chunks_keep_the_numbers_of_one_split(text, chunk, monkeypatch):
+    monkeypatch.setattr(formats, "_CHUNK", chunk)
+    whole = [(line_no, line.split()) for line_no, line in enumerate(text.split("\n"), 1)
+             if line.strip(" \t\r")]
+    assert list(formats._lines(text)) == whole
+
+
+def test_parse_error_past_the_first_chunk_names_its_line():
+    text = "0 1\n" * (formats._CHUNK // 2) + "\n0 x\n"
+    with pytest.raises(ParseError, match=f"^line {formats._CHUNK // 2 + 2}: "):
+        parse_edge_list(text)
 
 
 @given(_FUZZ_TEXT)
