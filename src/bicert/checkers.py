@@ -38,8 +38,10 @@ builds is the ``Bipartition`` it returns.
 
 from __future__ import annotations
 
+import time
 from array import array
 from collections import deque
+from typing import Callable
 
 from .certificates import (
     Bipartition,
@@ -331,9 +333,28 @@ def check(g: Graph, algorithm: str) -> CheckOutcome:
     raises InternalInvariantError: that can only mean a bug here, never bad
     input.
     """
-    outcome, _ = run_instrumented(g, algorithm)
-    if not verify_outcome(g, outcome):
+    return run_verified(g, algorithm, run_instrumented, verify_outcome)[0]
+
+
+def run_verified(
+    g: Graph,
+    algorithm: str,
+    run: Callable[[Graph, str], tuple[CheckOutcome, int]],
+    verify: Callable[[Graph, CheckOutcome], bool],
+) -> tuple[CheckOutcome, int, int]:
+    """``run(g, algorithm)``, its certificate checked by ``verify``.
+
+    Returns the outcome, the ops counter and the wall nanoseconds of
+    ``run`` alone; a certificate ``verify`` rejects raises
+    InternalInvariantError.  Each caller passes the runner and verifier its
+    own module names, so that replacing a name there (a test's fault, a
+    tracing wrapper) reaches this path.
+    """
+    t0 = time.perf_counter_ns()
+    outcome, ops = run(g, algorithm)
+    elapsed = time.perf_counter_ns() - t0
+    if not verify(g, outcome):
         raise InternalInvariantError(
             f"checker {algorithm!r} returned a certificate its verifier rejects"
         )
-    return outcome
+    return outcome, ops, elapsed

@@ -17,7 +17,6 @@ import os
 import re
 import signal
 import sys
-import time
 import traceback
 from contextlib import contextmanager
 from itertools import chain, compress, count, islice
@@ -26,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .certificates import Bipartition, CheckOutcome, OddCycle, verify_outcome
-from .checkers import ALGORITHM_NAMES, run_instrumented
+from .checkers import ALGORITHM_NAMES, run_instrumented, run_verified
 from .errors import InputError, InternalInvariantError, ParseError
 from .formats import parse_dimacs, parse_edge_list, write_dimacs, write_dot, write_edge_list
 from .generators import KIND_NAMES, GenSpec, generate
@@ -58,14 +57,7 @@ _Run = tuple[CheckOutcome, int, int]  # outcome, ops counter, wall nanoseconds
 
 def _verified_run(g: Graph, name: str) -> _Run:
     """Run one checker and verify its certificate; time the checker alone."""
-    t0 = time.perf_counter_ns()
-    outcome, ops = run_instrumented(g, name)
-    elapsed = time.perf_counter_ns() - t0
-    if not verify_outcome(g, outcome):
-        raise InternalInvariantError(
-            f"checker {name!r} returned a certificate its verifier rejects"
-        )
-    return outcome, ops, elapsed
+    return run_verified(g, name, run_instrumented, verify_outcome)
 
 
 def _worth_forking(g: Graph, algorithms: tuple[str, ...]) -> bool:
@@ -77,14 +69,41 @@ def _worth_forking(g: Graph, algorithms: tuple[str, ...]) -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def _worker_half(g: Graph, names: tuple[str, ...], pipe: int) -> None:
-    """In the forked worker: run ``names`` and send the answer; never returns.
+# prctl's option that sets the signal a process gets when its parent dies
+_PR_SET_PDEATHSIG = 1
+
+
+def _dies_with(parent: int) -> bool:
+    """In the forked worker: have Linux SIGKILL it when ``parent`` dies; False if gone."""
+    # elsewhere, or if the request fails, a parent killed by a signal leaves
+    # the worker running until its half is done
+    if not sys.platform.startswith("linux"):
+        return True
+    try:
+        import ctypes
+
+        prctl = ctypes.CDLL(None).prctl
+    except (ImportError, OSError, AttributeError):  # no ctypes, C library or prctl
+        return True
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong, ctypes.c_ulong, ctypes.c_ulong,
+                      ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) != 0:
+        return True
+    # a parent that died before the request took effect sent no signal
+    return os.getppid() == parent
+
+
+def _worker_half(g: Graph, names: tuple[str, ...], pipe: int, parent: int) -> None:
+    """In the forked worker of ``parent``: run ``names`` and send the answer; never returns.
 
     The answer is marshalled: per checker its side as bytes or its cycle's
     two lists, its ops counter and its nanoseconds; or the message of an
     InternalInvariantError; or the traceback of any other exception.
     """
     try:
+        if not _dies_with(parent):
+            return
         try:
             runs = [_verified_run(g, name) for name in names]
             answer = marshal.dumps(("runs", [
@@ -129,9 +148,11 @@ def _two_halves(g: Graph, algorithms: tuple[str, ...]) -> list[_Run]:
 
     Each process builds the adjacency its own checkers ask for.  The worker
     is reaped before this returns or raises: killed first if its answer
-    was not read (this half raised).  bicert starts no threads, so the
-    fork copies a process in a consistent state.
+    was not read (this half raised).  On Linux the worker is also killed
+    when this process dies by a signal (see ``_dies_with``).  bicert starts
+    no threads, so the fork copies a process in a consistent state.
     """
+    parent = os.getpid()
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -141,7 +162,7 @@ def _two_halves(g: Graph, algorithms: tuple[str, ...]) -> list[_Run]:
         return [_verified_run(g, name) for name in algorithms]
     if pid == 0:
         os.close(read_end)
-        _worker_half(g, algorithms[1::2], write_end)
+        _worker_half(g, algorithms[1::2], write_end, parent)
     os.close(write_end)
     answer = None
     try:

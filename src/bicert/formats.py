@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import re
 from array import array
-from itertools import chain, repeat
-from operator import sub
 from typing import Iterator
 
 from .certificates import CheckOutcome, verify_outcome
@@ -15,14 +13,17 @@ from .graph import MAX_VERTICES, Graph, build_graph
 # fixed fills for the two sides; certificate edges go bold red
 _SIDE_COLORS = ("#a6cee3", "#fdbf6f")
 
-# The exact layouts write_edge_list and write_dimacs emit, read in bulk; any
-# other text (comments, blank lines, tabs, CRLF, no final newline, a bad line)
-# is read line by line.  A layout is a header pattern and the pattern of a
-# newline followed by neither an edge line nor the end: text is in the layout
-# when it opens with the header and no such newline follows.  One search finds
-# that newline without the backtracking state a repeated group of edge lines
-# keeps per line (about 30 MiB at 1.6e5 edges).
+# The exact layouts write_edge_list and write_dimacs emit, and the edge list's
+# without its header line, read in bulk; any other text (comments, blank
+# lines, tabs, CRLF, no final newline, a bad line) is read line by line.  A
+# layout is a header pattern and the pattern of a newline followed by neither
+# an edge line nor the end: text is in the layout when it opens with the
+# header and no such newline follows.  One search finds that newline without
+# the backtracking state a repeated group of edge lines keeps per line (about
+# 30 MiB at 1.6e5 edges).
 _EDGE_LIST_LAYOUT = (re.compile(r"n [0-9]+\n"), re.compile(r"\n(?![0-9]+ [0-9]+\n|\Z)"))
+# the edge list's layout without the header: it opens with an edge line
+_HEADERLESS_LAYOUT = (re.compile(r"[0-9]+ [0-9]+\n"), _EDGE_LIST_LAYOUT[1])
 _DIMACS_LAYOUT = (
     re.compile(r"p edge [0-9]+ [0-9]+\n"),
     re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)"),
@@ -33,6 +34,9 @@ _DIMACS_LAYOUT = (
 _CHUNK = 1 << 16
 # tokens on a line are separated by spaces and tabs, nothing else
 _SEPARATOR = re.compile(r"[ \t]+")
+# the line walks hand their ids to the build in lists of this many: about
+# 40 KiB of ints beside the array that holds them all
+_WALK_RUN = 1 << 10
 
 
 def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -53,6 +57,11 @@ def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
         if end < 0:
             return
         begin = end + 1
+
+
+def _runs(ids: array) -> Iterator[list[int]]:
+    """``ids`` in lists of ``_WALK_RUN``, as ``build_graph(..., flat=True)`` reads them."""
+    return (ids[i:i + _WALK_RUN].tolist() for i in range(0, len(ids), _WALK_RUN))
 
 
 def _edge_lines_start(text: str, layout: tuple[re.Pattern, re.Pattern]) -> int:
@@ -80,28 +89,30 @@ def _int_token(token: str, line_no: int, what: str) -> int:
     raise ParseError(f"{what} {token!r} is not an integer", line_no)
 
 
-def _bulk_pairs(text: str, start: int, dimacs: bool) -> Iterator[tuple[int, int]]:
-    """The endpoint pairs of the edge lines from ``text[start:]`` on.
+def _bulk_runs(text: str, start: int, dimacs: bool) -> Iterator[list[int]]:
+    """The endpoint ids of the edge lines from ``text[start:]`` on, a chunk at a time.
 
     The lines must be in their writer's layout: ``u v`` or DIMACS's
-    ``e u v`` with 1-based ids.  Ids are not range-checked here;
-    ``Graph`` refuses one outside the graph.
+    ``e u v`` with 1-based ids, which come out 0-based.  Each chunk's lines
+    become one JSON array for ``json.loads``, which raises ValueError on
+    what ``int()`` reads but JSON does not, such as a leading zero.  Ids
+    are not range-checked here.
     """
+    import json  # on the first bulk read, not with ``import bicert``
 
-    def chunks() -> Iterator[Iterator[tuple[int, int]]]:
-        begin = start
-        while begin < len(text):
-            end = text.find("\n", begin + _CHUNK) + 1 or len(text)
-            tokens = text[begin:end].split()
-            begin = end
-            if dimacs:
-                del tokens[::3]  # the "e" tags
-            ids = list(map(int, tokens))
-            del tokens  # the graph keeps the ints, not the strings
-            it = map(sub, ids, repeat(1)) if dimacs else iter(ids)
-            yield zip(it, it)
-
-    return chain.from_iterable(chunks())
+    begin = start
+    while begin < len(text):
+        end = text.find("\n", begin + _CHUNK) + 1 or len(text)
+        if dimacs:  # the "e " opening each line goes
+            lines = text[begin + 2:end - 1].replace("\ne ", ",")
+        else:
+            lines = text[begin:end - 1].replace("\n", ",")
+        ids = json.loads("[" + lines.replace(" ", ",") + "]")
+        del lines
+        if dimacs:
+            ids = [i - 1 for i in ids]
+        yield ids
+        begin = end
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -114,14 +125,27 @@ def parse_edge_list(text: str) -> Graph:
     counts are ASCII digits; lines end at ``\\n`` (or ``\\r\\n``) and tokens
     are separated by spaces and tabs.  Any other text raises ParseError.
     """
+    try:
+        g = _bulk_edge_list(text)
+    except ValueError:  # an id or count that JSON, int() or the build refuses
+        g = None
+    # the line walk reads any other text and names the line of any error
+    return _walk_edge_list(text) if g is None else g
+
+
+def _bulk_edge_list(text: str) -> Graph | None:
+    """The graph of ``text`` in the writer's layout, with or without its header.
+
+    None when ``text`` is in neither layout; ValueError when JSON, ``int()``
+    or the build refuses an id or count.
+    """
     start = _edge_lines_start(text, _EDGE_LIST_LAYOUT)
     if start:
-        try:
-            n = int(text[2:start - 1])
-            return build_graph(n, _bulk_pairs(text, start, dimacs=False))
-        except ValueError:  # an id or count out of range, or too long for int()
-            pass  # the line walk names the line
-    return _walk_edge_list(text)
+        n = int(text[2:start - 1])
+        return build_graph(n, _bulk_runs(text, start, dimacs=False), flat=True)
+    if _edge_lines_start(text, _HEADERLESS_LAYOUT):
+        return build_graph(None, _bulk_runs(text, 0, dimacs=False), flat=True)
+    return None
 
 
 def _walk_edge_list(text: str) -> Graph:
@@ -156,9 +180,7 @@ def _walk_edge_list(text: str) -> Graph:
             )
         ids.append(u)
         ids.append(v)
-    n = declared if declared is not None else 1 + max(ids, default=-1)
-    it = iter(ids)
-    return build_graph(n, zip(it, it))
+    return build_graph(declared, _runs(ids), flat=True)  # None: 1 + the largest id
 
 
 def write_edge_list(g: Graph) -> str:
@@ -176,15 +198,27 @@ def parse_dimacs(text: str) -> Graph:
     unknown line types, or a final edge count differing from the declared m.
     Lines, tokens and numbers follow the edge list's ASCII rules.
     """
+    try:
+        g = _bulk_dimacs(text)
+    except ValueError:  # an id or count that JSON, int() or the build refuses
+        g = None
+    # the line walk reads any other text and names the line of any error
+    return _walk_dimacs(text) if g is None else g
+
+
+def _bulk_dimacs(text: str) -> Graph | None:
+    """The graph of ``text`` in the writer's layout, or None when it is not.
+
+    None too when the edge count differs from the declared one; ValueError
+    when JSON, ``int()`` or the build refuses an id or count.
+    """
     start = _edge_lines_start(text, _DIMACS_LAYOUT)
-    if start:
-        try:
-            n, m = map(int, text[7:start - 1].split(" "))
-            if text.count("\n", start) == m:
-                return build_graph(n, _bulk_pairs(text, start, dimacs=True))
-        except ValueError:  # an id or count out of range, or too long for int()
-            pass  # the line walk names the line
-    return _walk_dimacs(text)
+    if not start:
+        return None
+    n, m = map(int, text[7:start - 1].split(" "))
+    if text.count("\n", start) != m:
+        return None
+    return build_graph(n, _bulk_runs(text, start, dimacs=True), flat=True)
 
 
 def _walk_dimacs(text: str) -> Graph:
@@ -226,8 +260,7 @@ def _walk_dimacs(text: str) -> Graph:
         raise ParseError(
             f"problem line declared {declared_m} edges, found {len(ids) >> 1}"
         )
-    it = iter(ids)
-    return build_graph(n, zip(it, it))
+    return build_graph(n, _runs(ids), flat=True)
 
 
 def write_dimacs(g: Graph) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -24,6 +24,9 @@ from .errors import InputError
 # the most vertices a Graph may have; a larger declared count is bad input,
 # refused before any adjacency is allocated
 MAX_VERTICES = 10_000_000
+# pairs flattened into one run at a time: a run's list and its two halves
+# for the loop check stay under 1 MiB
+_RUN_PAIRS = 1 << 14
 
 
 class Graph:
@@ -43,13 +46,64 @@ class Graph:
     __slots__ = ("n", "ends", "first_loop", "_adj")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
+        """The graph on ``n`` vertices whose edges are ``pairs``, in order.
+
+        The pairs are flattened ``_RUN_PAIRS`` at a time into runs for
+        ``_take``; from the first run it refuses on, they are appended one
+        by one, so that the error names the first bad edge.
+        """
+        self._start(n)
+        it = iter(pairs)
+        while chunk := list(islice(it, _RUN_PAIRS)):
+            if self._take(_flat(chunk)) is None:
+                self._take_pairs(chain(chunk, it))
+                return
+
+    def _start(self, n: int) -> None:
+        """Set the fields of a graph on ``n`` vertices and no edges yet."""
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
         if n > MAX_VERTICES:
             raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-        ends = array("q")
+        self.n = n
+        self.ends = array("q")
+        self.first_loop: int | None = None
+        self._adj: tuple[array, array] | None = None
+
+    def _take(self, run: list | None) -> int | None:
+        """Append ``run``, flat endpoint ids ``u, v, u, v, ...``, as edges.
+
+        Returns the run's largest id (-1 for an empty run).  A run that is
+        None, of odd length, or holds anything but ints in ``0..n-1`` is
+        refused: ``ends`` stays as it was and None is returned.  Every check
+        is a C-level pass over the run, so an id past a 64-bit slot is
+        refused by its value, never by an OverflowError.
+        """
+        if run is None or len(run) & 1:
+            return None
+        if not run:
+            return -1
+        ends = self.ends
+        try:
+            top = max(run)
+            if min(run) < 0 or top >= self.n:
+                return None
+            first = len(ends) >> 1
+            ends.fromlist(run)
+        except TypeError:  # an item that is not an int
+            return None
+        if self.first_loop is None:
+            halves = run[0::2], run[1::2]
+            if any(map(eq, *halves)):
+                self.first_loop = first + list(map(eq, *halves)).index(True)
+        return top
+
+    def _take_pairs(self, pairs: Iterator) -> None:
+        """Append ``pairs`` one by one, raising InputError naming the first bad edge."""
+        n, ends = self.n, self.ends
+        first = len(ends) >> 1
         append = ends.append
-        for eid, pair in enumerate(pairs):
+        for eid, pair in enumerate(pairs, first):
             try:
                 u, v = pair  # a wrong length must not shift the edges after it
                 append(u)
@@ -60,13 +114,29 @@ class Graph:
                 del ends[2 * eid:]
                 _check_range(n, ends)
                 raise _out_of_range(n, eid, u, v) from None
-        # checked before any adjacency is allocated, so a bad id costs no n slots
         _check_range(n, ends)
-        loops = compress(count(), map(eq, islice(ends, 0, None, 2), islice(ends, 1, None, 2)))
-        self.n = n
-        self.ends = ends
-        self.first_loop = next(loops, None)
-        self._adj: tuple[array, array] | None = None
+        if self.first_loop is None:
+            self.first_loop = next(compress(count(first), map(
+                eq, islice(ends, 2 * first, None, 2), islice(ends, 2 * first + 1, None, 2))), None)
+
+    @classmethod
+    def _from_runs(cls, n: int | None, runs: Iterable[list]) -> Graph:
+        """The graph whose ``ends`` are ``runs``, lists of flat ids, joined.
+
+        n None means one more than the largest id, which must be below
+        ``MAX_VERTICES``.  A refused run (see ``_take``) raises InputError.
+        """
+        g = cls.__new__(cls)
+        g._start(MAX_VERTICES if n is None else n)
+        top = -1
+        for i, run in enumerate(runs):
+            run_top = g._take(run)
+            if run_top is None:
+                raise InputError(f"run {i} is not an even count of ints in 0..{g.n - 1}")
+            top = max(top, run_top)
+        if n is None:
+            g.n = top + 1
+        return g
 
     @property
     def m(self) -> int:
@@ -117,14 +187,33 @@ def _check_range(n: int, ends: array) -> None:
                 raise _out_of_range(n, eid, u, v)
 
 
-def build_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
+def _flat(pairs: list) -> list | None:
+    """``pairs`` flattened to ``u, v, u, v, ...``, or None unless each has two items."""
+    try:
+        if min(map(len, pairs)) == 2:
+            run = list(chain.from_iterable(pairs))
+            # none is shorter than two, so none is longer when they add up to two each
+            if len(run) == 2 * len(pairs):
+                return run
+    except TypeError:  # an item without a length
+        pass
+    return None
+
+
+def build_graph(n: int | None, pairs: Iterable, *, flat: bool = False) -> Graph:
     """Construct a graph on ``n`` vertices from endpoint pairs.
 
     Edge ids are assigned in input order.  Raises InputError naming the
     offending edge when an item is not a pair of integers, or the first
     pair with an endpoint out of range.
+
+    With ``flat``, ``pairs`` is instead an iterable of runs, lists of flat
+    ids ``u, v, u, v, ...``, each checked whole at C speed: a run of odd
+    length or holding anything but ints in ``0..n-1`` raises InputError
+    naming the run, not an edge.  n may then be None: one more than the
+    largest id, which must be below ``MAX_VERTICES``.
     """
-    return Graph(n, pairs)
+    return Graph._from_runs(n, pairs) if flat else Graph(n, pairs)
 
 
 class SimplifyResult(NamedTuple):

@@ -7,6 +7,8 @@ import gc
 import io
 import json
 import os
+import signal
+import subprocess
 import sys
 import tempfile
 import time
@@ -344,6 +346,32 @@ def forks(monkeypatch):
     return pids
 
 
+# a check whose worker prints its pid and sleeps in flip; growth and dsu
+# run in the parent, which then waits for the worker's answer
+SLEEPY_CHECK = """
+import os, sys, time
+sys.path.insert(0, sys.argv[1])
+import bicert.cli as cli
+run = cli.run_instrumented
+def sleepy(g, algorithm):
+    if algorithm == "flip":
+        print(os.getpid(), flush=True)
+        time.sleep(60)
+    return run(g, algorithm)
+cli.run_instrumented = sleepy
+sys.exit(cli.main(["check", sys.argv[2]]))
+"""
+
+
+def running(pid):
+    """Whether ``pid`` is a process that has not ended (a zombie has ended)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -430,6 +458,30 @@ class TestTwoProcesses:
         assert "internal error: RuntimeError: growth broke" in capsys.readouterr().err
         assert len(forks) == 1
         assert_no_child_left()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the worker asks Linux's prctl to die with its parent")
+    def test_worker_dies_with_a_killed_parent(self, big, tmp_path):
+        script = tmp_path / "sleepy_check.py"
+        script.write_text(SLEEPY_CHECK)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        check = subprocess.Popen([sys.executable, str(script), src, big[1]],
+                                 stdout=subprocess.PIPE, text=True)
+        worker = None
+        try:
+            worker = int(check.stdout.readline())
+            check.send_signal(signal.SIGTERM)
+            assert check.wait(timeout=10) == -signal.SIGTERM
+            deadline = time.monotonic() + 1
+            while running(worker) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not running(worker)
+        finally:
+            check.kill()
+            check.wait()
+            check.stdout.close()
+            if worker is not None and running(worker):
+                os.kill(worker, signal.SIGKILL)
 
     def test_the_threshold_is_fork_edges(self, forks):
         for m, forked in ((cli._FORK_EDGES - 1, 0), (cli._FORK_EDGES, 1)):

@@ -45,13 +45,25 @@ def _outcome(parse, text):
 def near_writer_text(draw, dimacs):
     """Text in a writer's layout whose counts and ids may be wrong."""
     number = st.one_of(st.integers(0, 9).map(str), st.sampled_from(
-        ["00", "07", "10000001", "4000000000", LONG_ID]))
+        ["00", "07", "10000001", "4000000000", str(2**63), LONG_ID]))
     n = draw(number)
     lines = draw(st.lists(st.tuples(number, number), max_size=6))
     if dimacs:
         m = draw(st.one_of(st.just(str(len(lines))), number))
         return f"p edge {n} {m}\n" + "".join(f"e {u} {v}\n" for u, v in lines)
     return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in lines)
+
+
+# edge lines with an id the bulk read refuses in some layout, each after a
+# good line; ids as the file has them, so 0 is out of range in DIMACS only
+REFUSED_IN_BULK = {
+    "leading-zero": ["1 2", "01 2"],
+    "past-64-bits": ["1 2", f"2 {2**63}"],
+    "5000-digits": ["1 2", f"1 {LONG_ID}"],
+    "past-n": ["1 2", "1 6"],
+    "past-the-cap": ["1 2", f"1 {MAX_VERTICES}"],
+    "zero": ["1 2", "0 1"],
+}
 
 
 class TestParseEdgeList:
@@ -262,7 +274,7 @@ class TestAsciiGrammar:
             parse(text)
 
     @pytest.mark.parametrize("parse, text", [
-        (parse_edge_list, f"0 {LONG_ID}\n"),              # line walk
+        (parse_edge_list, f"0 {LONG_ID}\n"),              # bulk layout, no header
         (parse_edge_list, f"n 5\n0 {LONG_ID}\n"),        # bulk layout
         (parse_edge_list, f"n {LONG_ID}\n"),
         (parse_dimacs, f"p edge 2 1\ne 1 {LONG_ID}\n"),
@@ -339,9 +351,30 @@ class TestBulkRead:
             assert not formats._edge_lines_start(text, layout)
             assert parse(text) == g
 
-    @given(near_writer_text(dimacs=False))
-    def test_edge_list_bulk_falls_back_on_bad_counts(self, text):
-        assert formats._edge_lines_start(text, formats._EDGE_LIST_LAYOUT)
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
+    @pytest.mark.parametrize("dimacs", [False, True], ids=["edge-list", "dimacs"])
+    @pytest.mark.parametrize("case", list(REFUSED_IN_BULK))
+    def test_refused_ids_read_as_the_walk_reads_them(self, case, dimacs, header):
+        lines = REFUSED_IN_BULK[case]
+        if dimacs:
+            lines = [f"e {line}" for line in lines]
+            head, parse, walk = f"p edge 5 {len(lines)}", parse_dimacs, formats._walk_dimacs
+            layout = formats._DIMACS_LAYOUT
+        else:
+            head, parse, walk = "n 5", parse_edge_list, formats._walk_edge_list
+            layout = formats._EDGE_LIST_LAYOUT if header else formats._HEADERLESS_LAYOUT
+        text = "".join(f"{line}\n" for line in ([head] if header else []) + lines)
+        # DIMACS has no bulk layout without its problem line
+        assert bool(formats._edge_lines_start(text, layout)) == (header or not dimacs)
+        assert _outcome(parse, text) == _outcome(walk, text)
+
+    @given(near_writer_text(dimacs=False), st.booleans())
+    def test_edge_list_bulk_falls_back_on_bad_counts(self, text, header):
+        layout = formats._EDGE_LIST_LAYOUT
+        if not header:
+            text = text.partition("\n")[2]
+            layout = formats._HEADERLESS_LAYOUT
+        assert bool(formats._edge_lines_start(text, layout)) == bool(text)
         assert _outcome(parse_edge_list, text) == _outcome(formats._walk_edge_list, text)
 
     @given(near_writer_text(dimacs=True))
@@ -364,11 +397,13 @@ _FUZZ_TEXT = st.one_of(
 # two-pattern layout check accepts, fine for short texts
 _LAYOUT_REFERENCE = (
     (formats._EDGE_LIST_LAYOUT, re.compile(r"n [0-9]+\n(?:[0-9]+ [0-9]+\n)*")),
+    (formats._HEADERLESS_LAYOUT, re.compile(r"(?:[0-9]+ [0-9]+\n)+")),
     (formats._DIMACS_LAYOUT, re.compile(r"p edge [0-9]+ [0-9]+\n(?:e [0-9]+ [0-9]+\n)*")),
 )
 
 
 @given(st.one_of(_FUZZ_TEXT, near_writer_text(dimacs=False), near_writer_text(dimacs=True),
+                 near_writer_text(dimacs=False).map(lambda text: text.partition("\n")[2]),
                  st.tuples(near_writer_text(dimacs=False), _FUZZ_TEXT).map("".join),
                  st.tuples(near_writer_text(dimacs=True), _FUZZ_TEXT).map("".join)))
 def test_layout_check_matches_its_whole_text_pattern(text):
@@ -393,25 +428,50 @@ def test_bad_id_in_writer_layout_allocates_no_adjacency():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("parse, text_of", [
-    (parse_edge_list, lambda g: write_edge_list(g).partition("\n")[2]),  # no header
-    (parse_dimacs, lambda g: "c hand\n" + write_dimacs(g)),  # a comment first
-], ids=["edge-list", "dimacs"])
-def test_line_walk_keeps_endpoints_flat(parse, text_of):
-    # neither text is in its writer's layout, so the line walk reads it; its
-    # ids go into one array of 64-bit slots, not one tuple per edge
-    m = 10**5
-    g = generate(GenSpec(kind="planted_bipartite", n_left=25_000, n_right=25_000,
-                         m=m, seed=1))
-    text = text_of(g)
+def _parse_peak(parse, text):
+    """The graph ``parse`` reads from ``text`` and the tracemalloc peak of reading it."""
     tracemalloc.start()
     try:
         parsed = parse(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return parsed, peak
+
+
+@pytest.fixture(scope="module")
+def edges_1e5():
+    return generate(GenSpec(kind="planted_bipartite", n_left=25_000, n_right=25_000,
+                            m=10**5, seed=1))
+
+
+@pytest.mark.parametrize("parse, text_of", [
+    (parse_edge_list, lambda g: "# hand\n" + write_edge_list(g).partition("\n")[2]),
+    (parse_dimacs, lambda g: "c hand\n" + write_dimacs(g)),
+], ids=["edge-list", "dimacs"])
+def test_line_walk_keeps_endpoints_flat(parse, text_of, edges_1e5):
+    # a comment first puts neither text in its writer's layout, so the line
+    # walk reads it; its ids go into one array of 64-bit slots, not one tuple
+    # per edge
+    g = edges_1e5
+    parsed, peak = _parse_peak(parse, text_of(g))
     assert parsed.ends == g.ends
-    assert peak <= 48 * m
+    assert peak <= 48 * g.m
+
+
+@pytest.mark.parametrize("parse, text_of", [
+    (parse_edge_list, write_edge_list),
+    (parse_edge_list, lambda g: write_edge_list(g).partition("\n")[2]),
+    (parse_dimacs, write_dimacs),
+], ids=["edge-list", "edge-list-no-header", "dimacs"])
+def test_bulk_read_decodes_a_chunk_at_a_time(parse, text_of, edges_1e5):
+    # measured 25.0 B per edge for the edge list, with or without its
+    # header, and 26.2 for DIMACS: the graph's 16 and one chunk's ints;
+    # decoding the whole text at once would hold over 70 B per edge of ints
+    g = edges_1e5
+    parsed, peak = _parse_peak(parse, text_of(g))
+    assert parsed.ends == g.ends
+    assert peak <= 28 * g.m
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 8, 1 << 16])

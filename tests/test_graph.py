@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import tracemalloc
+from array import array
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from bicert import (
     generate,
     simplify,
 )
+import bicert.graph as graph_module
 from bicert.graph import MAX_VERTICES, bfs_path
 from conftest import adjacency, four_cycle, graphs, triangle
 
@@ -92,6 +95,7 @@ class TestBuildGraph:
     @pytest.mark.parametrize("pairs, eid", [
         ([(0, 1, 2)], 0),
         ([(0, 1), (0, 1, 2), (3,)], 1),  # flattened, it would read as 3 edges
+        ([(0, 1), (0, 1, 2), (1, 2, 3)], 1),  # or as 4
         ([(0, 1), 5], 1),
         ([(0.5, 1)], 0),
     ])
@@ -117,6 +121,84 @@ class TestBuildGraph:
         assert build_graph(g.n, g.pairs) == g
         assert list(g.edges()) == g.pairs
         assert len(g.ends) == 2 * g.m
+
+
+def per_pair_build(n, pairs):
+    """What the per-pair build makes of ``pairs``: the graph's parts or the error's message.
+
+    The reference for the flat build: each pair's ids are appended to one
+    array, an error naming its edge, and the range is checked at the end,
+    or on an id past a 64-bit slot, on the edges before it.
+    """
+    ends = array("q")
+
+    def out_of_range():
+        it = iter(ends)
+        for eid, (u, v) in enumerate(zip(it, it)):
+            if not (0 <= u < n and 0 <= v < n):
+                return f"edge {eid} endpoint pair ({u}, {v}) out of range for n={n}"
+        return None
+
+    for eid, pair in enumerate(pairs):
+        try:
+            u, v = pair
+            ends.append(u)
+            ends.append(v)
+        except (TypeError, ValueError):
+            return f"edge {eid} is not a pair of integers: {pair!r}"
+        except OverflowError:
+            del ends[2 * eid:]
+            return out_of_range() or f"edge {eid} endpoint pair ({u}, {v}) out of range for n={n}"
+    loops = [eid for eid in range(len(ends) // 2) if ends[2 * eid] == ends[2 * eid + 1]]
+    return out_of_range() or (n, list(ends), loops[0] if loops else None)
+
+
+def built(n, pairs):
+    try:
+        g = build_graph(n, pairs)
+    except InputError as exc:
+        return str(exc)
+    return g.n, list(g.ends), g.first_loop
+
+
+_ID = st.one_of(st.integers(0, 5), st.sampled_from([-1, 2**63, -(2**70)]))
+_ITEM = st.one_of(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.tuples(_ID, _ID),
+    st.lists(st.integers(0, 5), min_size=1, max_size=3),
+    st.sampled_from([5, (0.5, 1), ("0", 1), (0,), (0, 1, 2), "01", None]),
+)
+
+
+class TestFlatBuild:
+    """Pairs flattened into runs build what the per-pair build did."""
+
+    @given(st.integers(0, 6), st.lists(st.one_of(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)), _ITEM), max_size=12),
+        st.sampled_from([1, 2, 3, 1 << 14]), st.booleans())
+    def test_runs_of_pairs_build_what_the_per_pair_build_did(self, n, pairs, run_pairs,
+                                                               lazily):
+        with mock.patch.object(graph_module, "_RUN_PAIRS", run_pairs):
+            assert built(n, iter(pairs) if lazily else pairs) == per_pair_build(n, pairs)
+
+    @given(graphs(), st.lists(st.integers(0, 20)), st.booleans())
+    def test_flat_runs_build_the_graph_of_their_pairs(self, g, cuts, fit):
+        ids = g.ends.tolist()
+        bounds = sorted({0, len(ids), *(2 * c for c in cuts if 2 * c < len(ids))})
+        runs = [ids[a:b] for a, b in zip(bounds, bounds[1:])]
+        flat = build_graph(None if fit else g.n, runs, flat=True)
+        assert flat.ends == g.ends and flat.first_loop == g.first_loop
+        assert flat.n == (max(ids, default=-1) + 1 if fit else g.n)
+
+    @pytest.mark.parametrize("run", [[0], [0, 3], [-1, 0], [0, 2**63], [0, "1"], [0.0, 1]])
+    def test_refused_run_is_named(self, run):
+        with pytest.raises(InputError, match=r"^run 1 is not an even count of ints in 0\.\.2$"):
+            build_graph(3, [[0, 1], run], flat=True)
+
+    def test_fitted_vertex_count_stays_under_the_cap(self):
+        assert build_graph(None, [[0, MAX_VERTICES - 1]], flat=True).n == MAX_VERTICES
+        with pytest.raises(InputError, match="^run 0 "):
+            build_graph(None, [[0, MAX_VERTICES]], flat=True)
 
 
 class TestCsr:
