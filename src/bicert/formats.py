@@ -13,17 +13,14 @@ from .graph import MAX_VERTICES, Graph, build_graph
 # fixed fills for the two sides; certificate edges go bold red
 _SIDE_COLORS = ("#a6cee3", "#fdbf6f")
 
-# The exact layouts write_edge_list and write_dimacs emit, and the edge list's
-# without its header line, read in bulk; any other text (comments, blank
-# lines, tabs, CRLF, no final newline, a bad line) is read line by line.  A
-# layout is a header pattern and the pattern of a newline followed by neither
-# an edge line nor the end: text is in the layout when it opens with the
-# header and no such newline follows.  One search finds that newline without
-# the backtracking state a repeated group of edge lines keeps per line (about
-# 30 MiB at 1.6e5 edges).
+# The exact layouts write_edge_list and write_dimacs emit, read in bulk; any
+# other text (comments, blank lines, tabs, CRLF, no final newline, a bad line)
+# is read line by line.  A layout is a header pattern and the pattern of a
+# newline followed by neither an edge line nor the end: text is in the layout
+# when it opens with the header and no such newline follows.  One search finds
+# that newline without the backtracking state a repeated group of edge lines
+# keeps per line (about 30 MiB at 1.6e5 edges).
 _EDGE_LIST_LAYOUT = (re.compile(r"n [0-9]+\n"), re.compile(r"\n(?![0-9]+ [0-9]+\n|\Z)"))
-# the edge list's layout without the header: it opens with an edge line
-_HEADERLESS_LAYOUT = (re.compile(r"[0-9]+ [0-9]+\n"), _EDGE_LIST_LAYOUT[1])
 _DIMACS_LAYOUT = (
     re.compile(r"p edge [0-9]+ [0-9]+\n"),
     re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)"),
@@ -134,18 +131,15 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def _bulk_edge_list(text: str) -> Graph | None:
-    """The graph of ``text`` in the writer's layout, with or without its header.
+    """The graph of ``text`` in the writer's layout, or None when it is not.
 
-    None when ``text`` is in neither layout; ValueError when JSON, ``int()``
-    or the build refuses an id or count.
+    ValueError when JSON, ``int()`` or the build refuses an id or count.
     """
     start = _edge_lines_start(text, _EDGE_LIST_LAYOUT)
-    if start:
-        n = int(text[2:start - 1])
-        return build_graph(n, _bulk_runs(text, start, dimacs=False), flat=True)
-    if _edge_lines_start(text, _HEADERLESS_LAYOUT):
-        return build_graph(None, _bulk_runs(text, 0, dimacs=False), flat=True)
-    return None
+    if not start:
+        return None
+    n = int(text[2:start - 1])
+    return build_graph(n, _bulk_runs(text, start, dimacs=False), flat=True)
 
 
 def _walk_edge_list(text: str) -> Graph:
@@ -180,7 +174,8 @@ def _walk_edge_list(text: str) -> Graph:
             )
         ids.append(u)
         ids.append(v)
-    return build_graph(declared, _runs(ids), flat=True)  # None: 1 + the largest id
+    n = declared if declared is not None else 1 + max(ids, default=-1)
+    return build_graph(n, _runs(ids), flat=True)
 
 
 def write_edge_list(g: Graph) -> str:

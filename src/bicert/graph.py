@@ -55,7 +55,7 @@ class Graph:
         self._start(n)
         it = iter(pairs)
         while chunk := list(islice(it, _RUN_PAIRS)):
-            if self._take(_flat(chunk)) is None:
+            if not self._take(_flat(chunk)):
                 self._take_pairs(chain(chunk, it))
                 return
 
@@ -70,33 +70,32 @@ class Graph:
         self.first_loop: int | None = None
         self._adj: tuple[array, array] | None = None
 
-    def _take(self, run: list | None) -> int | None:
+    def _take(self, run: list | None) -> bool:
         """Append ``run``, flat endpoint ids ``u, v, u, v, ...``, as edges.
 
-        Returns the run's largest id (-1 for an empty run).  A run that is
-        None, of odd length, or holds anything but ints in ``0..n-1`` is
-        refused: ``ends`` stays as it was and None is returned.  Every check
-        is a C-level pass over the run, so an id past a 64-bit slot is
-        refused by its value, never by an OverflowError.
+        A run that is None, of odd length, or holds anything but ints in
+        ``0..n-1`` is refused: ``ends`` stays as it was and False is
+        returned.  Every check is a C-level pass over the run, so an id
+        past a 64-bit slot is refused by its value, never by an
+        OverflowError.
         """
         if run is None or len(run) & 1:
-            return None
+            return False
         if not run:
-            return -1
+            return True
         ends = self.ends
         try:
-            top = max(run)
-            if min(run) < 0 or top >= self.n:
-                return None
+            if min(run) < 0 or max(run) >= self.n:
+                return False
             first = len(ends) >> 1
             ends.fromlist(run)
         except TypeError:  # an item that is not an int
-            return None
+            return False
         if self.first_loop is None:
             halves = run[0::2], run[1::2]
             if any(map(eq, *halves)):
                 self.first_loop = first + list(map(eq, *halves)).index(True)
-        return top
+        return True
 
     def _take_pairs(self, pairs: Iterator) -> None:
         """Append ``pairs`` one by one, raising InputError naming the first bad edge."""
@@ -120,22 +119,16 @@ class Graph:
                 eq, islice(ends, 2 * first, None, 2), islice(ends, 2 * first + 1, None, 2))), None)
 
     @classmethod
-    def _from_runs(cls, n: int | None, runs: Iterable[list]) -> Graph:
+    def _from_runs(cls, n: int, runs: Iterable[list]) -> Graph:
         """The graph whose ``ends`` are ``runs``, lists of flat ids, joined.
 
-        n None means one more than the largest id, which must be below
-        ``MAX_VERTICES``.  A refused run (see ``_take``) raises InputError.
+        A refused run (see ``_take``) raises InputError.
         """
         g = cls.__new__(cls)
-        g._start(MAX_VERTICES if n is None else n)
-        top = -1
+        g._start(n)
         for i, run in enumerate(runs):
-            run_top = g._take(run)
-            if run_top is None:
-                raise InputError(f"run {i} is not an even count of ints in 0..{g.n - 1}")
-            top = max(top, run_top)
-        if n is None:
-            g.n = top + 1
+            if not g._take(run):
+                raise InputError(f"run {i} is not an even count of ints in 0..{n - 1}")
         return g
 
     @property
@@ -200,18 +193,19 @@ def _flat(pairs: list) -> list | None:
     return None
 
 
-def build_graph(n: int | None, pairs: Iterable, *, flat: bool = False) -> Graph:
+def build_graph(n: int, pairs: Iterable, *, flat: bool = False) -> Graph:
     """Construct a graph on ``n`` vertices from endpoint pairs.
 
     Edge ids are assigned in input order.  Raises InputError naming the
     offending edge when an item is not a pair of integers, or the first
     pair with an endpoint out of range.
 
-    With ``flat``, ``pairs`` is instead an iterable of runs, lists of flat
-    ids ``u, v, u, v, ...``, each checked whole at C speed: a run of odd
-    length or holding anything but ints in ``0..n-1`` raises InputError
-    naming the run, not an edge.  n may then be None: one more than the
-    largest id, which must be below ``MAX_VERTICES``.
+    ``flat`` is internal to the readers in ``formats.py``: ``pairs`` is then
+    an iterable of runs, lists of flat ids ``u, v, u, v, ...``, each checked
+    whole at C speed, and a refused run raises InputError naming the run,
+    not an edge.  The readers pass it here rather than to ``Graph._from_runs``
+    only so that ``perfbench/traced_check.py``, which wraps
+    ``formats.build_graph``, still times their build.
     """
     return Graph._from_runs(n, pairs) if flat else Graph(n, pairs)
 

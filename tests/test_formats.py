@@ -54,14 +54,13 @@ def near_writer_text(draw, dimacs):
     return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in lines)
 
 
-# edge lines with an id the bulk read refuses in some layout, each after a
-# good line; ids as the file has them, so 0 is out of range in DIMACS only
+# edge lines with an id the bulk read refuses, each after a good line; ids
+# as the file has them, so 0 is out of range in DIMACS only
 REFUSED_IN_BULK = {
     "leading-zero": ["1 2", "01 2"],
     "past-64-bits": ["1 2", f"2 {2**63}"],
     "5000-digits": ["1 2", f"1 {LONG_ID}"],
     "past-n": ["1 2", "1 6"],
-    "past-the-cap": ["1 2", f"1 {MAX_VERTICES}"],
     "zero": ["1 2", "0 1"],
 }
 
@@ -274,7 +273,7 @@ class TestAsciiGrammar:
             parse(text)
 
     @pytest.mark.parametrize("parse, text", [
-        (parse_edge_list, f"0 {LONG_ID}\n"),              # bulk layout, no header
+        (parse_edge_list, f"0 {LONG_ID}\n"),              # line walk
         (parse_edge_list, f"n 5\n0 {LONG_ID}\n"),        # bulk layout
         (parse_edge_list, f"n {LONG_ID}\n"),
         (parse_dimacs, f"p edge 2 1\ne 1 {LONG_ID}\n"),
@@ -362,19 +361,15 @@ class TestBulkRead:
             layout = formats._DIMACS_LAYOUT
         else:
             head, parse, walk = "n 5", parse_edge_list, formats._walk_edge_list
-            layout = formats._EDGE_LIST_LAYOUT if header else formats._HEADERLESS_LAYOUT
+            layout = formats._EDGE_LIST_LAYOUT
         text = "".join(f"{line}\n" for line in ([head] if header else []) + lines)
-        # DIMACS has no bulk layout without its problem line
-        assert bool(formats._edge_lines_start(text, layout)) == (header or not dimacs)
+        # without its header line a text is in no bulk layout
+        assert bool(formats._edge_lines_start(text, layout)) == header
         assert _outcome(parse, text) == _outcome(walk, text)
 
-    @given(near_writer_text(dimacs=False), st.booleans())
-    def test_edge_list_bulk_falls_back_on_bad_counts(self, text, header):
-        layout = formats._EDGE_LIST_LAYOUT
-        if not header:
-            text = text.partition("\n")[2]
-            layout = formats._HEADERLESS_LAYOUT
-        assert bool(formats._edge_lines_start(text, layout)) == bool(text)
+    @given(near_writer_text(dimacs=False))
+    def test_edge_list_bulk_falls_back_on_bad_counts(self, text):
+        assert formats._edge_lines_start(text, formats._EDGE_LIST_LAYOUT)
         assert _outcome(parse_edge_list, text) == _outcome(formats._walk_edge_list, text)
 
     @given(near_writer_text(dimacs=True))
@@ -397,13 +392,11 @@ _FUZZ_TEXT = st.one_of(
 # two-pattern layout check accepts, fine for short texts
 _LAYOUT_REFERENCE = (
     (formats._EDGE_LIST_LAYOUT, re.compile(r"n [0-9]+\n(?:[0-9]+ [0-9]+\n)*")),
-    (formats._HEADERLESS_LAYOUT, re.compile(r"(?:[0-9]+ [0-9]+\n)+")),
     (formats._DIMACS_LAYOUT, re.compile(r"p edge [0-9]+ [0-9]+\n(?:e [0-9]+ [0-9]+\n)*")),
 )
 
 
 @given(st.one_of(_FUZZ_TEXT, near_writer_text(dimacs=False), near_writer_text(dimacs=True),
-                 near_writer_text(dimacs=False).map(lambda text: text.partition("\n")[2]),
                  st.tuples(near_writer_text(dimacs=False), _FUZZ_TEXT).map("".join),
                  st.tuples(near_writer_text(dimacs=True), _FUZZ_TEXT).map("".join)))
 def test_layout_check_matches_its_whole_text_pattern(text):
@@ -446,13 +439,12 @@ def edges_1e5():
 
 
 @pytest.mark.parametrize("parse, text_of", [
-    (parse_edge_list, lambda g: "# hand\n" + write_edge_list(g).partition("\n")[2]),
-    (parse_dimacs, lambda g: "c hand\n" + write_dimacs(g)),
+    (parse_edge_list, lambda g: write_edge_list(g).partition("\n")[2]),  # no header
+    (parse_dimacs, lambda g: "c hand\n" + write_dimacs(g)),  # a comment first
 ], ids=["edge-list", "dimacs"])
 def test_line_walk_keeps_endpoints_flat(parse, text_of, edges_1e5):
-    # a comment first puts neither text in its writer's layout, so the line
-    # walk reads it; its ids go into one array of 64-bit slots, not one tuple
-    # per edge
+    # neither text is in its writer's layout, so the line walk reads it; its
+    # ids go into one array of 64-bit slots, not one tuple per edge
     g = edges_1e5
     parsed, peak = _parse_peak(parse, text_of(g))
     assert parsed.ends == g.ends
@@ -461,13 +453,12 @@ def test_line_walk_keeps_endpoints_flat(parse, text_of, edges_1e5):
 
 @pytest.mark.parametrize("parse, text_of", [
     (parse_edge_list, write_edge_list),
-    (parse_edge_list, lambda g: write_edge_list(g).partition("\n")[2]),
     (parse_dimacs, write_dimacs),
-], ids=["edge-list", "edge-list-no-header", "dimacs"])
+], ids=["edge-list", "dimacs"])
 def test_bulk_read_decodes_a_chunk_at_a_time(parse, text_of, edges_1e5):
-    # measured 25.0 B per edge for the edge list, with or without its
-    # header, and 26.2 for DIMACS: the graph's 16 and one chunk's ints;
-    # decoding the whole text at once would hold over 70 B per edge of ints
+    # measured 25.0 B per edge for the edge list and 26.2 for DIMACS: the
+    # graph's 16 and one chunk's ints; decoding the whole text at once would
+    # hold over 70 B per edge of ints
     g = edges_1e5
     parsed, peak = _parse_peak(parse, text_of(g))
     assert parsed.ends == g.ends

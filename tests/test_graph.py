@@ -181,24 +181,18 @@ class TestFlatBuild:
         with mock.patch.object(graph_module, "_RUN_PAIRS", run_pairs):
             assert built(n, iter(pairs) if lazily else pairs) == per_pair_build(n, pairs)
 
-    @given(graphs(), st.lists(st.integers(0, 20)), st.booleans())
-    def test_flat_runs_build_the_graph_of_their_pairs(self, g, cuts, fit):
+    @given(graphs(), st.lists(st.integers(0, 20)))
+    def test_flat_runs_build_the_graph_of_their_pairs(self, g, cuts):
         ids = g.ends.tolist()
         bounds = sorted({0, len(ids), *(2 * c for c in cuts if 2 * c < len(ids))})
         runs = [ids[a:b] for a, b in zip(bounds, bounds[1:])]
-        flat = build_graph(None if fit else g.n, runs, flat=True)
-        assert flat.ends == g.ends and flat.first_loop == g.first_loop
-        assert flat.n == (max(ids, default=-1) + 1 if fit else g.n)
+        flat = build_graph(g.n, runs, flat=True)
+        assert flat.n == g.n and flat.ends == g.ends and flat.first_loop == g.first_loop
 
     @pytest.mark.parametrize("run", [[0], [0, 3], [-1, 0], [0, 2**63], [0, "1"], [0.0, 1]])
     def test_refused_run_is_named(self, run):
         with pytest.raises(InputError, match=r"^run 1 is not an even count of ints in 0\.\.2$"):
             build_graph(3, [[0, 1], run], flat=True)
-
-    def test_fitted_vertex_count_stays_under_the_cap(self):
-        assert build_graph(None, [[0, MAX_VERTICES - 1]], flat=True).n == MAX_VERTICES
-        with pytest.raises(InputError, match="^run 0 "):
-            build_graph(None, [[0, MAX_VERTICES]], flat=True)
 
 
 class TestCsr:
