@@ -143,23 +143,24 @@ def _worker_runs(answer: bytes, status: int) -> list[_Run]:
     ]
 
 
-def _two_halves(g: Graph, algorithms: tuple[str, ...]) -> list[_Run]:
+def _two_halves(g: Graph, algorithms: tuple[str, ...]) -> list[_Run] | None:
     """``algorithms[0::2]`` here and ``algorithms[1::2]`` in a forked worker.
 
     Each process builds the adjacency its own checkers ask for.  The worker
     is reaped before this returns or raises: killed first if its answer
     was not read (this half raised).  On Linux the worker is also killed
     when this process dies by a signal (see ``_dies_with``).  bicert starts
-    no threads, so the fork copies a process in a consistent state.
+    no threads, so the fork copies a process in a consistent state.  None,
+    with nothing run, when no process can be forked.
     """
     parent = os.getpid()
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare (EAGAIN, ENOMEM): all of them here
+    except OSError:  # no process to spare (EAGAIN, ENOMEM): the caller runs them all
         os.close(read_end)
         os.close(write_end)
-        return [_verified_run(g, name) for name in algorithms]
+        return None
     if pid == 0:
         os.close(read_end)
         _worker_half(g, algorithms[1::2], write_end, parent)
@@ -189,9 +190,8 @@ def _certified_runs(g: Graph, algorithms: tuple[str, ...]) -> list[_Run]:
     is too malformed to verify, or the algorithms disagree, and when the
     worker fails or ends without an answer.
     """
-    if _worth_forking(g, algorithms):
-        runs = _two_halves(g, algorithms)
-    else:
+    runs = _two_halves(g, algorithms) if _worth_forking(g, algorithms) else None
+    if runs is None:
         runs = [_verified_run(g, name) for name in algorithms]
     if len({outcome.branch for outcome, _, _ in runs}) > 1:
         raise InternalInvariantError(

@@ -122,24 +122,15 @@ def parse_edge_list(text: str) -> Graph:
     counts are ASCII digits; lines end at ``\\n`` (or ``\\r\\n``) and tokens
     are separated by spaces and tabs.  Any other text raises ParseError.
     """
-    try:
-        g = _bulk_edge_list(text)
-    except ValueError:  # an id or count that JSON, int() or the build refuses
-        g = None
-    # the line walk reads any other text and names the line of any error
-    return _walk_edge_list(text) if g is None else g
-
-
-def _bulk_edge_list(text: str) -> Graph | None:
-    """The graph of ``text`` in the writer's layout, or None when it is not.
-
-    ValueError when JSON, ``int()`` or the build refuses an id or count.
-    """
     start = _edge_lines_start(text, _EDGE_LIST_LAYOUT)
-    if not start:
-        return None
-    n = int(text[2:start - 1])
-    return build_graph(n, _bulk_runs(text, start, dimacs=False), flat=True)
+    if start:
+        try:
+            return build_graph(int(text[2:start - 1]), _bulk_runs(text, start, dimacs=False),
+                               flat=True)
+        except ValueError:  # an id or count that JSON, int() or the build refuses
+            pass
+    # the line walk reads any other text and names the line of any error
+    return _walk_edge_list(text)
 
 
 def _walk_edge_list(text: str) -> Graph:
@@ -193,27 +184,16 @@ def parse_dimacs(text: str) -> Graph:
     unknown line types, or a final edge count differing from the declared m.
     Lines, tokens and numbers follow the edge list's ASCII rules.
     """
-    try:
-        g = _bulk_dimacs(text)
-    except ValueError:  # an id or count that JSON, int() or the build refuses
-        g = None
-    # the line walk reads any other text and names the line of any error
-    return _walk_dimacs(text) if g is None else g
-
-
-def _bulk_dimacs(text: str) -> Graph | None:
-    """The graph of ``text`` in the writer's layout, or None when it is not.
-
-    None too when the edge count differs from the declared one; ValueError
-    when JSON, ``int()`` or the build refuses an id or count.
-    """
     start = _edge_lines_start(text, _DIMACS_LAYOUT)
-    if not start:
-        return None
-    n, m = map(int, text[7:start - 1].split(" "))
-    if text.count("\n", start) != m:
-        return None
-    return build_graph(n, _bulk_runs(text, start, dimacs=True), flat=True)
+    if start:
+        try:
+            n, m = map(int, text[7:start - 1].split(" "))
+            if text.count("\n", start) == m:
+                return build_graph(n, _bulk_runs(text, start, dimacs=True), flat=True)
+        except ValueError:  # an id or count that JSON, int() or the build refuses
+            pass
+    # the line walk reads any other text and names the line of any error
+    return _walk_dimacs(text)
 
 
 def _walk_dimacs(text: str) -> Graph:

@@ -52,15 +52,6 @@ class Graph:
         ``_take``; from the first run it refuses on, they are appended one
         by one, so that the error names the first bad edge.
         """
-        self._start(n)
-        it = iter(pairs)
-        while chunk := list(islice(it, _RUN_PAIRS)):
-            if not self._take(_flat(chunk)):
-                self._take_pairs(chain(chunk, it))
-                return
-
-    def _start(self, n: int) -> None:
-        """Set the fields of a graph on ``n`` vertices and no edges yet."""
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
         if n > MAX_VERTICES:
@@ -69,6 +60,11 @@ class Graph:
         self.ends = array("q")
         self.first_loop: int | None = None
         self._adj: tuple[array, array] | None = None
+        it = iter(pairs)
+        while chunk := list(islice(it, _RUN_PAIRS)):
+            if not self._take(_flat(chunk)):
+                self._take_pairs(chain(chunk, it))
+                return
 
     def _take(self, run: list | None) -> bool:
         """Append ``run``, flat endpoint ids ``u, v, u, v, ...``, as edges.
@@ -124,8 +120,7 @@ class Graph:
 
         A refused run (see ``_take``) raises InputError.
         """
-        g = cls.__new__(cls)
-        g._start(n)
+        g = cls(n, ())
         for i, run in enumerate(runs):
             if not g._take(run):
                 raise InputError(f"run {i} is not an even count of ints in 0..{n - 1}")

@@ -16,23 +16,12 @@ from .graph import Graph
 MAX_ASSIGNMENT_VERTICES = 20
 MAX_CYCLE_SEARCH_VERTICES = 12
 
-# arange(2^n) tables are reused across calls; they are read-only.
-_mask_cache: dict[int, np.ndarray] = {}
-
-
-def _masks(n: int) -> np.ndarray:
-    arr = _mask_cache.get(n)
-    if arr is None:
-        arr = np.arange(1 << n, dtype=np.uint32)
-        _mask_cache[n] = arr
-    return arr
-
 
 def _valid_assignments(g: Graph) -> np.ndarray:
     """Boolean vector over all 2^n assignments; ascending mask order is
     lexicographic order of side tuples when side[0] is the top bit."""
     n = g.n
-    masks = _masks(n)
+    masks = np.arange(1 << n, dtype=np.uint32)
     valid = np.ones(masks.shape, dtype=bool)
     for u, v in g.edges():
         differs = ((masks >> (n - 1 - u)) ^ (masks >> (n - 1 - v))) & 1

@@ -508,6 +508,19 @@ class TestTwoProcesses:
         assert cli.main(["check", path]) == code
         assert "verdict" in capsys.readouterr().out
 
+    def test_without_affinity_the_cpu_count_decides(self, big, forks, capsys, monkeypatch):
+        # platforms without sched_getaffinity fall back on os.cpu_count()
+        path, code = big[1], big[2]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        outs = []
+        for cpus, forked in ((1, 0), (None, 0), (2, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert cli.main(["check", path]) == code
+            outs.append(capsys.readouterr().out)
+            assert len(forks) == forked
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+        assert_no_child_left()
+
     def test_no_process_to_spare_runs_all_here(self, big, capsys, monkeypatch):
         path, code = big[1], big[2]
         assert cli.main(["check", path]) == code

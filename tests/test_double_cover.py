@@ -18,6 +18,7 @@ import pytest
 
 import bicert.cli as cli
 import bicert.formats as formats
+from bicert.checkers import run_instrumented
 from bicert.formats import write_dimacs, write_edge_list
 from bicert.generators import GenSpec, generate
 
@@ -37,8 +38,12 @@ SPECS = {
 }
 
 
-def double_cover_bipartite(n: int, us, vs) -> bool:
-    """True iff no v shares a component with v + n in the double cover."""
+def double_cover(n: int, us, vs) -> tuple[bool, int]:
+    """Whether no v shares a component with v + n in the double cover, and a count.
+
+    When some v does, the count is the first edge index after which one
+    does; when none does, it is the count c of components of G.
+    """
     parent = list(range(2 * n))
 
     def find(x: int) -> int:
@@ -46,13 +51,26 @@ def double_cover_bipartite(n: int, us, vs) -> bool:
             parent[x] = x = parent[parent[x]]  # path halving
         return x
 
-    for u, v in zip(us, vs):
+    joined = 0
+    for eid, (u, v) in enumerate(zip(us, vs)):
         for a, b in ((u, v + n), (u + n, v)):
             ra = find(a)
             rb = find(b)
             if ra != rb:
                 parent[ra] = rb
-    return all(find(v) != find(v + n) for v in range(n))
+                joined += 1
+        # swapping every v with v + n maps the cover onto itself, so the two
+        # components this edge grew are each other's image: a vertex meets
+        # its copy in one of them only if they are one, and then u does too
+        if find(u) == find(u + n):
+            return False, eid
+    # then each component of G lifts to two components of the cover
+    return True, (2 * n - joined) // 2
+
+
+def double_cover_bipartite(n: int, us, vs) -> bool:
+    """True iff no v shares a component with v + n in the double cover."""
+    return double_cover(n, us, vs)[0]
 
 
 def edge_keys(ends: np.ndarray, n: int) -> np.ndarray:
@@ -119,10 +137,15 @@ def cross_check(g, bipartite: bool, text: str, fmt: str, walked: bool, tmp_path,
 
 
 @lru_cache(maxsize=None)
+def covered(kind: str):
+    """The kind's graph, its double-cover verdict and count (see ``double_cover``)."""
+    g = generate(SPECS[kind])
+    return (g, *double_cover(g.n, g.ends[0::2], g.ends[1::2]))
+
+
 def generated(kind: str):
     """The kind's graph and its double-cover verdict."""
-    g = generate(SPECS[kind])
-    return g, double_cover_bipartite(g.n, g.ends[0::2], g.ends[1::2])
+    return covered(kind)[:2]
 
 
 @pytest.mark.parametrize("walked", [False, True], ids=["writer-layout", "line-walk"])
@@ -142,6 +165,29 @@ def test_million_edge_planted_odd_cycle(tmp_path, capsys, monkeypatch):
     bipartite = double_cover_bipartite(g.n, g.ends[0::2], g.ends[1::2])
     cross_check(g, bipartite, write_edge_list(g), "edgelist", False, tmp_path, capsys,
                 monkeypatch, algo="forest")
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_closing_edge_and_union_count(kind):
+    g, bipartite, count = covered(kind)
+    if bipartite:  # dsu unions once per edge that joins two of G's components
+        assert run_instrumented(g, "dsu")[1] == g.n - count
+    else:  # the edge that makes G's prefix odd closes flip's and dsu's cycles
+        assert g.first_loop is None
+        for name in ("flip", "dsu"):
+            assert run_instrumented(g, name)[0].odd_cycle.edge_ids[-1] == count
+
+
+@pytest.mark.parametrize("pairs, n, count", [
+    ([], 3, 3),
+    ([(0, 1), (1, 2), (2, 0)], 3, 2),
+    ([(0, 1), (1, 2), (2, 3), (3, 0)], 4, 1),
+    ([(0, 0), (0, 1)], 2, 0),
+    ([(0, 1), (0, 1), (2, 3)], 5, 3),
+    ([(0, 1), (2, 3), (3, 4), (4, 2), (0, 2)], 5, 3),
+], ids=["edgeless", "triangle", "four-cycle", "loop", "parallel", "far-triangle"])
+def test_double_cover_count_on_small_graphs(pairs, n, count):
+    assert double_cover(n, [u for u, _ in pairs], [v for _, v in pairs])[1] == count
 
 
 @pytest.mark.parametrize("pairs, n, bipartite", [
