@@ -19,6 +19,7 @@ import signal
 import sys
 import traceback
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain, compress, count, islice
 from operator import not_
 from pathlib import Path
@@ -29,7 +30,7 @@ from .checkers import ALGORITHM_NAMES, run_instrumented, run_verified
 from .errors import InputError, InternalInvariantError, ParseError
 from .formats import parse_dimacs, parse_edge_list, write_dimacs, write_dot, write_edge_list
 from .generators import KIND_NAMES, GenSpec, generate
-from .graph import Graph
+from .graph import Graph, link_slots
 
 EXIT_BIPARTITE = 0
 EXIT_ODD_CYCLE = 1
@@ -49,7 +50,8 @@ BENCH_CSV_HEADER = (
 
 # a run of four checkers on at least this many edges splits them over two
 # processes; below it the fork costs more than it saves (measured crossover
-# on a 2-core machine: 2-4 ms lost at 1e3-4e3 edges, 6 ms won at 1.6e4)
+# on a 2-core machine, whole `check --json` runs on planted-bipartite graphs
+# of m/2 vertices: 3 ms lost at 1e3 edges, level at 4e3, 11 ms won at 1.6e4)
 _FORK_EDGES = 1 << 14
 
 _Run = tuple[CheckOutcome, int, int]  # outcome, ops counter, wall nanoseconds
@@ -143,32 +145,91 @@ def _worker_runs(answer: bytes, status: int) -> list[_Run]:
     ]
 
 
+def _shared_slots(g: Graph) -> tuple[memoryview, memoryview] | None:
+    """Views ``(head, nxt)`` of one anonymous region that a fork leaves shared.
+
+    None, with nothing mapped, when ``g`` already has its adjacency (a fork
+    shares that as it is) or no region can be mapped.
+    """
+    if g._adj is not None:
+        return None
+    import mmap  # here only, so that a check that does not fork never loads it
+
+    try:
+        region = mmap.mmap(-1, 8 * (g.n + len(g.ends)))  # MAP_SHARED
+    except OSError:
+        return None
+    slots = memoryview(region).cast("q")
+    return slots[:g.n], slots[g.n:]
+
+
+def _build_and_announce(g: Graph, shared: tuple[memoryview, memoryview],
+                        ready: int) -> tuple[memoryview, memoryview]:
+    """In the parent: link ``g``'s adjacency into ``shared``, then tell the worker."""
+    link_slots(g.ends, *shared)
+    try:
+        os.write(ready, b"\1")
+    except BrokenPipeError:  # the worker has ended already
+        pass
+    return shared
+
+
+def _adopt(shared: tuple[memoryview, memoryview], ready: int) -> tuple | None:
+    """In the worker: ``shared`` once the parent announces its build; None if it never will."""
+    announced = os.read(ready, 1)
+    os.close(ready)
+    return shared if announced else None
+
+
 def _two_halves(g: Graph, algorithms: tuple[str, ...]) -> list[_Run] | None:
     """``algorithms[0::2]`` here and ``algorithms[1::2]`` in a forked worker.
 
-    Each process builds the adjacency its own checkers ask for.  The worker
-    is reaped before this returns or raises: killed first if its answer
-    was not read (this half raised).  On Linux the worker is also killed
-    when this process dies by a signal (see ``_dies_with``).  bicert starts
-    no threads, so the fork copies a process in a consistent state.  None,
-    with nothing run, when no process can be forked.
+    The adjacency is built once, here, into a region both processes map
+    (``_shared_slots``): the first ``g.adjacency()`` call here links it and
+    writes one byte to a "ready" pipe, and the worker's first call waits
+    for that byte and adopts the same views.  If this half ends without
+    building, the pipe's end-of-file sends the worker to build its own.
+    When ``g`` already has an adjacency, or no region can be mapped, no
+    pipe is opened: both processes use the adjacency ``g`` has, or each
+    builds its own.  No source is left set on ``g`` once this returns or
+    raises.
+
+    The worker is reaped before this returns or raises: killed first if
+    its answer was not read (this half raised).  On Linux the worker is
+    also killed when this process dies by a signal (see ``_dies_with``).
+    bicert starts no threads, so the fork copies a process in a consistent
+    state.  None, with nothing run, when no process can be forked.
     """
     parent = os.getpid()
+    shared = _shared_slots(g)
     read_end, write_end = os.pipe()
+    ready_read, ready_write = os.pipe() if shared else (None, None)
     try:
         pid = os.fork()
     except OSError:  # no process to spare (EAGAIN, ENOMEM): the caller runs them all
-        os.close(read_end)
-        os.close(write_end)
+        for fd in (read_end, write_end, ready_read, ready_write):
+            if fd is not None:
+                os.close(fd)
         return None
     if pid == 0:
         os.close(read_end)
+        if shared:
+            os.close(ready_write)  # else the parent's close is no end-of-file here
+            g._adj_source = partial(_adopt, shared, ready_read)
         _worker_half(g, algorithms[1::2], write_end, parent)
     os.close(write_end)
+    if shared:
+        os.close(ready_read)
+        g._adj_source = partial(_build_and_announce, g, shared, ready_write)
     answer = None
     try:
         with os.fdopen(read_end, "rb") as pipe:
-            mine = [_verified_run(g, name) for name in algorithms[0::2]]
+            try:
+                mine = [_verified_run(g, name) for name in algorithms[0::2]]
+            finally:
+                if shared:
+                    g._adj_source = None
+                    os.close(ready_write)
             answer = pipe.read()
     finally:
         if answer is None:
@@ -180,19 +241,34 @@ def _two_halves(g: Graph, algorithms: tuple[str, ...]) -> list[_Run] | None:
 
 
 def _certified_runs(g: Graph, algorithms: tuple[str, ...]) -> list[_Run]:
-    """Run and verify each checker; the verdicts must agree.
+    """Run and verify each checker; the runs must agree (``_agree``).
 
     Returns, per algorithm, its outcome, ops counter and wall nanoseconds
     around the checker only.  With two or more algorithms, at least
     ``_FORK_EDGES`` edges and more than one CPU to run on, every second
     algorithm runs in a forked worker process while the others run here.
     Raises InternalInvariantError when a certificate fails its verifier,
-    is too malformed to verify, or the algorithms disagree, and when the
-    worker fails or ends without an answer.
+    is too malformed to verify, or the runs disagree, and when the worker
+    fails or ends without an answer.
     """
     runs = _two_halves(g, algorithms) if _worth_forking(g, algorithms) else None
     if runs is None:
         runs = [_verified_run(g, name) for name in algorithms]
+    _agree(g, algorithms, runs)
+    return runs
+
+
+def _agree(g: Graph, algorithms: tuple[str, ...], runs: list[_Run]) -> None:
+    """Raise InternalInvariantError, naming the values, unless the runs agree.
+
+    Their verdicts must be one.  Where the algorithms involved all ran, two
+    facts of their routes must hold as well.  flip and dsu both read the
+    edges in id order and stop at the first whose prefix is not bipartite,
+    so their cycles end in the same edge id.  On a bipartite verdict (so no
+    loop), growth absorbs all n vertices, and dsu's unions, n - c for c
+    components, and forest's examined non-tree edges, m - (n - c), add up
+    to m.
+    """
     if len({outcome.branch for outcome, _, _ in runs}) > 1:
         raise InternalInvariantError(
             "algorithms disagree: " + ", ".join(
@@ -200,7 +276,23 @@ def _certified_runs(g: Graph, algorithms: tuple[str, ...]) -> list[_Run]:
                 for name, (outcome, _, _) in zip(algorithms, runs)
             )
         )
-    return runs
+    ran = dict(zip(algorithms, runs))
+    if not runs[0][0].is_bipartite:
+        if "flip" in ran and "dsu" in ran:
+            flip, dsu = (ran[name][0].odd_cycle.edge_ids[-1] for name in ("flip", "dsu"))
+            if flip != dsu:
+                raise InternalInvariantError(
+                    f"flip and dsu close their cycles on different edges: flip={flip}, dsu={dsu}")
+        return
+    if "growth" in ran and ran["growth"][1] != g.n:
+        raise InternalInvariantError(
+            f"growth absorbed {ran['growth'][1]} of n={g.n} vertices on a bipartite verdict")
+    if "dsu" in ran and "forest" in ran:
+        unions, examined = ran["dsu"][1], ran["forest"][1]
+        if unions + examined != g.m:
+            raise InternalInvariantError(
+                f"dsu's unions ({unions}) and forest's examined edges ({examined})"
+                f" add up to {unions + examined}, not m={g.m}")
 
 
 # vertex ids joined per write: a side or cycle is written in runs of this

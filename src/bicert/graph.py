@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice
 from operator import eq
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, MutableSequence, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -27,23 +27,26 @@ MAX_VERTICES = 10_000_000
 # pairs flattened into one run at a time: a run's list and its two halves
 # for the loop check stay under 1 MiB
 _RUN_PAIRS = 1 << 14
+# heads set to -1 per slice assignment when the adjacency is linked
+_HEAD_RUN = 1 << 12
 
 
 class Graph:
     """Edge-list multigraph with a lazily built adjacency, frozen after construction.
 
     ``ends`` holds edge e's endpoints at slots ``2e`` and ``2e + 1``.
-    ``adjacency()`` returns ``(head, nxt)``: ``head[x]`` is the first slot of
-    ``ends`` holding x and ``nxt[s]`` the next slot holding ``ends[s]``, -1
-    ending a list.  Walking x's list visits its edges in edge-id order; at
-    slot s the neighbor is ``ends[s ^ 1]`` and the edge id ``s >> 1``.  A
-    non-loop edge appears once at each endpoint, a loop twice, once per slot.
+    ``adjacency()`` returns ``(head, nxt)``, two int sequences of format
+    ``'q'``: ``head[x]`` is the first slot of ``ends`` holding x and
+    ``nxt[s]`` the next slot holding ``ends[s]``, -1 ending a list.  Walking
+    x's list visits its edges in edge-id order; at slot s the neighbor is
+    ``ends[s ^ 1]`` and the edge id ``s >> 1``.  A non-loop edge appears
+    once at each endpoint, a loop twice, once per slot.
     Instances are treated as read-only values by every algorithm here; do not
-    mutate ``ends`` or the adjacency arrays.  ``first_loop`` is the id of the
+    mutate ``ends`` or the adjacency.  ``first_loop`` is the id of the
     first loop, or None when there is none.
     """
 
-    __slots__ = ("n", "ends", "first_loop", "_adj")
+    __slots__ = ("n", "ends", "first_loop", "_adj", "_adj_source")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         """The graph on ``n`` vertices whose edges are ``pairs``, in order.
@@ -59,7 +62,8 @@ class Graph:
         self.n = n
         self.ends = array("q")
         self.first_loop: int | None = None
-        self._adj: tuple[array, array] | None = None
+        self._adj: tuple[Sequence[int], Sequence[int]] | None = None
+        self._adj_source: Callable[[], tuple | None] | None = None
         it = iter(pairs)
         while chunk := list(islice(it, _RUN_PAIRS)):
             if not self._take(_flat(chunk)):
@@ -140,17 +144,22 @@ class Graph:
         """A fresh list of ``edges()``; for callers that index pairs by edge id."""
         return list(self.edges())
 
-    def adjacency(self) -> tuple[array, array]:
-        """The slot lists ``(head, nxt)``, built on the first call and kept."""
+    def adjacency(self) -> tuple[Sequence[int], Sequence[int]]:
+        """The slot lists ``(head, nxt)``, made on the first call and kept.
+
+        They are two ``array('q')`` built here by ``link_slots``, unless
+        ``_adj_source`` is set: then the first call clears it and keeps what
+        it returns instead, and builds the arrays only if that is None.
+        ``cli._two_halves`` sets it on both sides of a fork, so that one
+        build fills views of a region both processes map.
+        """
         if self._adj is None:
-            ends = self.ends
-            head = array("q", [-1]) * self.n
-            nxt = array("q", [-1]) * len(ends)
-            # prepending from the last slot down leaves each list ascending
-            for s, x in zip(range(len(ends) - 1, -1, -1), reversed(ends)):
-                nxt[s] = head[x]
-                head[x] = s
-            self._adj = head, nxt
+            source, self._adj_source = self._adj_source, None
+            adj = None if source is None else source()
+            if adj is None:
+                adj = array("q", [0]) * self.n, array("q", [0]) * len(self.ends)
+                link_slots(self.ends, *adj)
+            self._adj = adj
         return self._adj
 
     def __eq__(self, other: object) -> bool:
@@ -160,6 +169,23 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def link_slots(ends: Sequence[int], head: MutableSequence[int],
+               nxt: MutableSequence[int]) -> None:
+    """Write the lists ``Graph.adjacency`` returns into ``head`` and ``nxt``.
+
+    ``head`` holds one item per vertex and ``nxt`` one per slot of ``ends``,
+    both of format ``'q'``, whatever they held before: an ``array('q')``, or
+    a view of memory that another process shares.
+    """
+    ends_of_lists = array("q", [-1]) * _HEAD_RUN
+    for lo in range(0, len(head), _HEAD_RUN):
+        head[lo:lo + _HEAD_RUN] = ends_of_lists[:len(head) - lo]
+    # prepending from the last slot down leaves each list ascending
+    for s, x in zip(range(len(ends) - 1, -1, -1), reversed(ends)):
+        nxt[s] = head[x]
+        head[x] = s
 
 
 def _out_of_range(n: int, eid: int, u: int, v: int) -> InputError:

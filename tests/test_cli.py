@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bicert.cli as cli
+import bicert.graph
 from bicert import ALGORITHM_NAMES, Bipartition, CheckOutcome, OddCycle, build_graph
 from bicert.checkers import run_instrumented
 from bicert.formats import parse_edge_list, write_edge_list
@@ -346,6 +348,32 @@ def forks(monkeypatch):
     return pids
 
 
+@pytest.fixture
+def link_passes(monkeypatch):
+    """Reads the pid of each adjacency link pass made since, in this process or a fork."""
+    read_end, write_end = os.pipe()
+    link = bicert.graph.link_slots
+
+    def spy(*args):
+        os.write(write_end, b"%d\n" % os.getpid())
+        link(*args)
+
+    # the private build calls it in graph, the shared build in cli
+    monkeypatch.setattr(bicert.graph, "link_slots", spy)
+    monkeypatch.setattr(cli, "link_slots", spy)
+
+    def passes():
+        os.set_blocking(read_end, False)
+        try:
+            return [int(pid) for pid in os.read(read_end, 1 << 16).split()]
+        except BlockingIOError:  # nothing written
+            return []
+
+    yield passes
+    os.close(read_end)
+    os.close(write_end)
+
+
 # a check whose worker prints its pid and sleeps in flip; growth and dsu
 # run in the parent, which then waits for the worker's answer
 SLEEPY_CHECK = """
@@ -483,6 +511,75 @@ class TestTwoProcesses:
             if worker is not None and running(worker):
                 os.kill(worker, signal.SIGKILL)
 
+    def test_one_link_pass_runs_here_and_is_kept(self, big, forks, link_passes):
+        g = build_graph(big[0].n, big[0].edges())  # no adjacency yet
+        runs = cli._certified_runs(g, ALGORITHM_NAMES)
+        assert len(forks) == 1
+        assert link_passes() == [os.getpid()]
+        assert [(outcome, ops) for outcome, ops, _ in runs] == [
+            run_instrumented(big[0], name) for name in ALGORITHM_NAMES
+        ]
+        assert g._adj_source is None
+        assert g.adjacency() == build_graph(g.n, g.edges()).adjacency()
+        link_passes()  # the fresh graph's
+        again = cli._certified_runs(g, ALGORITHM_NAMES)
+        assert [(outcome, ops) for outcome, ops, _ in again] == [
+            (outcome, ops) for outcome, ops, _ in runs
+        ]
+        assert link_passes() == []  # the second fork shares the kept adjacency
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_a_half_here_that_never_builds_lets_the_worker_build(self, big, forks,
+                                                                link_passes):
+        # dsu asks for the adjacency only to extract an odd cycle; on the
+        # bipartite graph the worker reads end-of-file and builds its own
+        g, code = build_graph(big[0].n, big[0].edges()), big[2]
+
+        def hung(signum, frame):
+            raise TimeoutError("the worker waits for a build that never comes")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            runs = cli._two_halves(g, ("dsu", "forest"))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [(outcome, ops) for outcome, ops, _ in runs] == [
+            run_instrumented(big[0], name) for name in ("dsu", "forest")
+        ]
+        assert len(forks) == 1
+        assert link_passes() == [os.getpid() if code else forks[0]]
+        assert g._adj_source is None
+        assert (g._adj is None) == (code == 0)
+        assert_no_child_left()
+
+    def test_no_region_means_two_private_builds(self, big, forks, link_passes,
+                                                monkeypatch):
+        import mmap
+
+        def no_region(*args):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", no_region)
+        g = build_graph(big[0].n, big[0].edges())
+        runs = cli._certified_runs(g, ALGORITHM_NAMES)
+        assert [(outcome, ops) for outcome, ops, _ in runs] == [
+            run_instrumented(big[0], name) for name in ALGORITHM_NAMES
+        ]
+        assert sorted(link_passes()) == sorted([os.getpid(), forks[0]])
+        assert_no_child_left()
+
+    def test_import_leaves_mmap_unloaded(self):
+        # only a check that forks maps the shared region
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import bicert.cli;"
+                 " print('mmap' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "False\n"
+
     def test_the_threshold_is_fork_edges(self, forks):
         for m, forked in ((cli._FORK_EDGES - 1, 0), (cli._FORK_EDGES, 1)):
             g = generate(GenSpec(kind="planted_bipartite", n_left=2_000, n_right=2_000,
@@ -541,6 +638,94 @@ class TestTwoProcesses:
         assert {row[6] for row in rows} == {"bipartite"}
         assert len(forks) == 2
         assert_no_child_left()
+
+
+def passes_over_its_first_clash(run):
+    """``run`` with a planted defect: dsu reads the edge that first closes an odd cycle as
+    a copy of edge 0, so it closes on a later edge, if any, with a valid cycle."""
+    def faulty(g, algorithm):
+        outcome, ops = run(g, algorithm)
+        if algorithm != "dsu" or outcome.is_bipartite:
+            return outcome, ops
+        ends = g.ends[:]
+        eid = outcome.odd_cycle.edge_ids[-1]
+        ends[2 * eid:2 * eid + 2] = ends[0:2]
+        it = iter(ends)
+        return run(build_graph(g.n, zip(it, it)), algorithm)
+    return faulty
+
+
+def miscounts(name, by):
+    """``run`` with a planted defect: ``name``'s ops counter is off by ``by``."""
+    def planted(run):
+        def faulty(g, algorithm):
+            outcome, ops = run(g, algorithm)
+            return outcome, ops + by if algorithm == name else ops
+        return faulty
+    return planted
+
+
+# random graphs hold many odd cycles, so dsu finds another past its first
+AGREEMENT_GRAPHS = {
+    "odd": lambda m: GenSpec(kind="random", n=m, m=m, seed=18),
+    "bipartite": lambda m: GenSpec(kind="planted_bipartite", n_left=m // 2,
+                                   n_right=m // 2, m=m, seed=18),
+}
+fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+class TestAgreement:
+    """Beyond one verdict: flip and dsu close on one edge, the counters add up."""
+
+    @pytest.mark.parametrize("m, forked", [
+        (300, 0), pytest.param(2 * cli._FORK_EDGES, 1, marks=fork_only),
+    ], ids=["serial", "forked"])
+    @pytest.mark.parametrize("kind, defect, message", [
+        ("odd", passes_over_its_first_clash,
+         r"flip and dsu close their cycles on different edges: flip=(\d+), dsu=(\d+)"),
+        ("bipartite", miscounts("dsu", 1),
+         r"dsu's unions \((\d+)\) and forest's examined edges \((\d+)\) add up to"
+         r" (\d+), not m=(\d+)"),
+        ("bipartite", miscounts("forest", -1),
+         r"dsu's unions \((\d+)\) and forest's examined edges \((\d+)\) add up to"
+         r" (\d+), not m=(\d+)"),
+        ("bipartite", miscounts("growth", -1),
+         r"growth absorbed (\d+) of n=(\d+) vertices on a bipartite verdict"),
+    ], ids=["dsu-past-its-first-clash", "dsu-one-union-more", "forest-one-edge-fewer",
+            "growth-one-vertex-fewer"])
+    def test_a_planted_defect_is_three(self, kind, defect, message, m, forked, forks,
+                                       tmp_path, capsys, monkeypatch):
+        g = generate(AGREEMENT_GRAPHS[kind](m))
+        path = tmp_path / "g.txt"
+        path.write_text(write_edge_list(g))
+        code = 0 if kind == "bipartite" else 1
+        assert cli.main(["check", str(path)]) == code
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "run_instrumented", defect(cli.run_instrumented))
+        assert cli.main(["check", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        found = re.fullmatch(f"internal error: {message}\n", captured.err)
+        assert found
+        values = [int(value) for value in found.groups()]
+        if kind == "odd":  # flip's edge is where dsu should have closed
+            closing = run_instrumented(g, "flip")[0].odd_cycle.edge_ids[-1]
+            assert values[0] == closing < values[1]
+        elif len(values) == 4:  # unions, examined, their sum, m
+            assert values[0] + values[1] == values[2] != values[3] == g.m
+        else:
+            assert values == [g.n - 1, g.n]
+        assert len(forks) == 2 * forked
+        assert_no_child_left()
+
+    @given(graphs(max_n=10, max_m=20))
+    def test_correct_runs_pass_every_agreement(self, g):
+        runs = cli._certified_runs(g, ALGORITHM_NAMES)
+        (growth, _, _), (flip, _, _), (dsu, unions, _), (_, examined, _) = runs
+        if growth.is_bipartite:
+            assert [runs[0][1], unions + examined] == [g.n, g.m]
+        else:
+            assert flip.odd_cycle.edge_ids[-1] == dsu.odd_cycle.edge_ids[-1]
 
 
 class TestBench:
