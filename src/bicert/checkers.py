@@ -24,8 +24,10 @@ builds on the first call and keeps.
 ``run_instrumented`` certifies loops in a pre-pass as length-1 odd cycles
 before any checker runs, so no walk meets a loop.  ``check`` dispatches by
 name and re-verifies the result before returning it.  Certificate
-extraction searches only the region it needs: flip and dsu run a masked BFS
-over the adjacency (building it if nothing has yet), forest walks tree
+extraction searches only the region it needs: growth, flip and dsu find
+their even path with ``bfs_path``, a masked search over the adjacency
+(building it if nothing has yet) that visits the vertices on shortest paths
+between the path's ends and a ball around each end; forest walks tree
 parents.
 
 Per-vertex state is flat: bytearrays for flags and sides, ``array('q')``

@@ -309,7 +309,9 @@ def find_path(g: Graph, allowed: Iterable[int], a: int, b: int) -> Path | None:
     Breadth-first; at each step neighbors are scanned in ascending
     ``(vertex, edge_id)`` order, so ties between equal-length paths resolve
     toward lower vertex ids.  Returns None when ``b`` is unreachable; a == b
-    yields the zero-length path.  Loops are never traversed.
+    yields the zero-length path.  Loops are never traversed.  Beyond an
+    O(n) mask, the cost follows the vertices on shortest a..b paths, not
+    all that ``a`` reaches (see ``bfs_path``).
     """
     n = g.n
     member = bytearray(n)
@@ -334,40 +336,130 @@ def bfs_path(
     the vertices and edge ids the path may use; None allows all of them.
     The caller makes sure ``a`` and ``b`` are allowed.
 
-    The search keeps one ``array('q')`` slot per vertex: the slot of ``ends``
-    that holds a reached vertex's parent, on the edge it was reached by.
-    Apart from allocating that array it visits only what it reaches, so its
-    cost follows the region searched.  The walk of x's slot list runs in
-    edge-id order, so the first allowed edge to reach a vertex is its
-    smallest allowed one; the vertices x reaches are then queued in
-    ascending order.  That is the ``(vertex, edge_id)`` order ``find_path``
-    promises.
+    The path is the one a BFS from ``a`` finds when it walks x's slot list
+    in edge-id order, so that the first allowed edge to reach a vertex is
+    its smallest allowed one, and queues the vertices x reaches in
+    ascending order: the ``(vertex, edge_id)`` order ``find_path``
+    promises.  That BFS runs over the region only, the vertices on some
+    shortest a..b path, and finds the same path: the neighbors one step
+    nearer ``a`` of a vertex in the region are in it too, so the order in
+    which the BFS takes the region's vertices, and the parent it gives
+    each, depend on the region alone.  The region is found by growing a
+    ball around each end until the two touch (Pohl's bidirectional
+    search), then descending from where they touched.  Apart from two
+    ``array('q')`` of distances, one per end, the search visits only the
+    two balls and the region, so its cost follows them, not all that ``a``
+    reaches.
     """
     if a == b:
         return Path([a], [])
+    # each vertex's distance from a and from b, -1 where not known
+    dists = array("q", [-1]) * g.n, array("q", [-1]) * g.n
+    dists[0][a] = dists[1][b] = 0
+    meeting = _grow_balls(g, dists, a, b, vertex_ok, edge_ok)
+    if meeting is None:
+        return None
+    d, meet = meeting
+    for near, far in dists, dists[::-1]:
+        _descend(g, near, far, d, meet, edge_ok)
+    return _region_bfs(g, *dists, d, a, b, edge_ok)
+
+
+# The three steps of bfs_path are functions of their own: tracemalloc looks
+# up the line of each allocation from the start of its function's code, so
+# one long function made a traced search of a long cycle three times slower.
+
+def _grow_balls(g: Graph, dists: tuple[array, array], a: int, b: int,
+                vertex_ok: Sequence[int] | None,
+                edge_ok: Sequence[int] | None) -> tuple[int, list[int]] | None:
+    """Grow a ball around a and one around b until one touches the other.
+
+    ``dists`` hold the distances from a and from b.  Each round adds one
+    layer to the ball whose frontier, its last layer, is the smaller, a's
+    on a tie.  Returns ``(d, meet)``: the distance d from a to b, and the
+    vertices of the last layer that the other ball holds, which are the
+    region's vertices at that layer's distance.  Returns None when a ball
+    stops growing first.
+    """
     ends = g.ends
     head, nxt = g.adjacency()
-    # the parent's slot on the edge each reached vertex was reached by;
-    # -1 unreached, -2 at a
-    via = array("q", [-1]) * g.n
-    via[a] = -2
+    fronts = [[a], [b]]
+    meet: list[int] = []
+    while not meet:
+        side = len(fronts[0]) > len(fronts[1])
+        dist, other = dists[side], dists[not side]
+        depth = dist[fronts[side][0]] + 1
+        layer = []
+        for x in fronts[side]:
+            s = head[x]
+            while s != -1:
+                y = ends[s ^ 1]
+                if (dist[y] == -1 and (edge_ok is None or edge_ok[s >> 1])
+                        and (vertex_ok is None or vertex_ok[y])):
+                    dist[y] = depth
+                    layer.append(y)
+                    if other[y] != -1:
+                        meet.append(y)
+                s = nxt[s]
+        if not layer:
+            return None
+        fronts[side] = layer
+    return depth + other[meet[0]], meet
+
+
+def _descend(g: Graph, near: array, far: array, d: int, meet: list[int],
+             edge_ok: Sequence[int] | None) -> None:
+    """Give each region vertex from ``meet`` to the near end its ``far`` distance.
+
+    A vertex one step nearer that end than a region vertex is in the
+    region, so its ``far`` distance is d minus its ``near`` one.
+    """
+    ends = g.ends
+    head, nxt = g.adjacency()
+    stack = meet[:]
+    while stack:
+        y = stack.pop()
+        k = near[y] - 1
+        if k < 0:  # y is the near end
+            continue
+        s = head[y]
+        while s != -1:
+            x = ends[s ^ 1]
+            if near[x] == k and far[x] == -1 and (edge_ok is None or edge_ok[s >> 1]):
+                far[x] = d - k
+                stack.append(x)
+            s = nxt[s]
+
+
+def _region_bfs(g: Graph, from_a: array, from_b: array, d: int, a: int, b: int,
+                edge_ok: Sequence[int] | None) -> Path:
+    """The BFS from a over the region, whose level k is the vertices at
+    distance k from a and d - k from b.
+
+    It writes each reached vertex's parent slot, the slot of ``ends``
+    holding its parent on the edge it was reached by, over its distance
+    from a, as ``-2 - slot``: below -1, it reads as no distance.
+    """
+    ends = g.ends
+    head, nxt = g.adjacency()
     queue = deque([a])
-    while queue:
+    while True:  # b is in the region, so the queue reaches it
+        x = queue.popleft()
+        k = from_b[x] - 1
         reached = []
-        s = head[queue.popleft()]
+        s = head[x]
         while s != -1:
             y = ends[s ^ 1]
-            if (via[y] == -1 and (vertex_ok is None or vertex_ok[y])
-                    and (edge_ok is None or edge_ok[s >> 1])):
-                via[y] = s
+            if from_b[y] == k and from_a[y] == d - k and (edge_ok is None or edge_ok[s >> 1]):
+                from_a[y] = -2 - s
                 if y == b:
                     verts = [b]
                     path_eids = []
                     while y != a:
+                        s = -2 - from_a[y]
                         path_eids.append(s >> 1)
                         y = ends[s]
                         verts.append(y)
-                        s = via[y]
                     verts.reverse()
                     path_eids.reverse()
                     return Path(verts, path_eids)
@@ -375,4 +467,3 @@ def bfs_path(
             s = nxt[s]
         reached.sort()
         queue.extend(reached)
-    return None

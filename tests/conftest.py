@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import os
+
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from bicert import Graph, build_graph
+
+# CI runners set CI: a property failure there prints the @reproduce_failure
+# line that replays it; every other setting stays as already loaded
+settings.register_profile("bicert-ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("bicert-ci")
 
 
 def adjacency(g: Graph, x: int) -> list[tuple[int, int]]:

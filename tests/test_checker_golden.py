@@ -20,6 +20,8 @@ from pathlib import Path
 import pytest
 
 from bicert import ALGORITHM_NAMES, GenSpec, generate, run_instrumented
+from bicert.cli import main
+from bicert.formats import write_dimacs
 from bicert.generators import KIND_NAMES
 
 GOLDEN = Path(__file__).parent / "golden" / "checker_outcomes.txt"
@@ -77,6 +79,31 @@ def test_corpus_reaches_both_branches_and_loops():
 @pytest.mark.parametrize("kind, seed", CORPUS)
 def test_outcomes_and_counters_match_golden(kind, seed):
     assert outcome_lines(kind, seed) == golden()[(kind, seed)]
+
+
+# the benchmark's late odd cycle (perfbench odd-late, seed 1): a 301-cycle on
+# fresh vertices closes the stream, then one bridge joins it to the base
+ODD_LATE = GenSpec(kind="planted_odd_cycle", n_left=40_000, n_right=40_000, m=160_000,
+                   cycle_len=301, seed=1)
+ODD_LATE_CYCLES = {
+    "growth": "60c0b114da9c3866f6a702127392a9716e52f9ba868be9c802a56d97fdbfd1f1",
+    "flip": "48785d881d6fc65399ca1e3679c8bc1dd69e1de0c1932754a75c60e79032cb7a",
+    "dsu": "48785d881d6fc65399ca1e3679c8bc1dd69e1de0c1932754a75c60e79032cb7a",
+    "forest": "ccf765509d033bd14d254f48cc84069101604a672adfc7b941f3cc95c341f204",
+}
+ODD_LATE_DIMACS_STDOUT = "eefbbb22f6a87e05f2ce341a26c5407cd844719015d36a7af211db8cd974156c"
+
+
+def test_benchmark_scale_certificates_match_pinned(tmp_path, capsys):
+    g = generate(ODD_LATE)
+    for name in ALGORITHM_NAMES:
+        cycle = run_instrumented(g, name)[0].odd_cycle
+        text = f"{cycle.vertices} {cycle.edge_ids}"
+        assert hashlib.sha256(text.encode()).hexdigest() == ODD_LATE_CYCLES[name], name
+    path = tmp_path / "odd.dimacs"
+    path.write_text(write_dimacs(g))
+    assert main(["check", str(path), "--format", "dimacs"]) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ODD_LATE_DIMACS_STDOUT
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 from array import array
 from collections import deque
@@ -21,6 +22,7 @@ from bicert import (
     generate,
     simplify,
 )
+import bicert.checkers as checkers_module
 import bicert.graph as graph_module
 from bicert.graph import MAX_VERTICES, bfs_path
 from conftest import adjacency, four_cycle, graphs, triangle
@@ -370,3 +372,98 @@ class TestBfsPath:
             assert path is None
         else:
             assert (path.vertices, path.edge_ids) == expected
+
+
+def shuffled_grid(rng):
+    """A grid of up to 14 × 14 vertices, ids shuffled, a quarter of its edges
+    copied, all edges in shuffled order: many shortest paths tie."""
+    rows, cols = rng.randint(2, 14), rng.randint(2, 14)
+    label = rng.sample(range(rows * cols), rows * cols)
+    pairs = [(label[r * cols + c], label[r * cols + c + 1])
+             for r in range(rows) for c in range(cols - 1)]
+    pairs += [(label[r * cols + c], label[(r + 1) * cols + c])
+              for r in range(rows - 1) for c in range(cols)]
+    pairs += rng.sample(pairs, len(pairs) // 4)
+    rng.shuffle(pairs)
+    return build_graph(rows * cols, pairs)
+
+
+def complete_bipartite(rng):
+    """K_{p,q} with p, q up to 12, ids shuffled and edges in shuffled order."""
+    p, q = rng.randint(1, 12), rng.randint(1, 12)
+    label = rng.sample(range(p + q), p + q)
+    pairs = [(label[i], label[p + j]) for i in range(p) for j in range(q)]
+    rng.shuffle(pairs)
+    return build_graph(p + q, pairs)
+
+
+def random_multigraph(rng):
+    """Up to 200 vertices and 3n edges drawn with repeats, loops included."""
+    n = rng.randint(2, 200)
+    return build_graph(n, [(rng.randrange(n), rng.randrange(n))
+                           for _ in range(rng.randint(n // 2, 3 * n))])
+
+
+class TestBfsPathDeep:
+    """``bfs_path`` against the sorted scan on graphs where the two ends'
+    balls meet past their second layer, or never meet."""
+
+    @pytest.mark.parametrize("family", [shuffled_grid, complete_bipartite, random_multigraph])
+    def test_matches_the_sorted_scan(self, family):
+        lengths, missed = [], 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            g = family(rng)
+            for _ in range(10):
+                keep_v = rng.choice([1, 0.9, 0.7])
+                keep_e = rng.choice([1, 0.9, 0.6, 0.3])
+                vertex_ok = bytearray(rng.random() < keep_v for _ in range(g.n))
+                edge_ok = bytearray(rng.random() < keep_e for _ in range(g.m))
+                a, b = rng.randrange(g.n), rng.randrange(g.n)
+                vertex_ok[a] = vertex_ok[b] = 1
+                path = bfs_path(g, a, b, vertex_ok=vertex_ok, edge_ok=edge_ok)
+                expected = sorted_scan_path(g, a, b, vertex_ok, edge_ok)
+                if expected is None:
+                    assert path is None, (seed, a, b)
+                    missed += 1
+                else:
+                    assert (path.vertices, path.edge_ids) == expected, (seed, a, b)
+                    lengths.append(path.length)
+        # the corpus reaches paths too long for two layers from each end, and misses
+        assert max(lengths) >= 5 and missed
+
+
+class CountingMask:
+    """A vertex mask that counts how many times it is read."""
+
+    def __init__(self, mask):
+        self.mask = mask
+        self.reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return self.mask[v]
+
+
+class TestBfsPathSearchSize:
+    def test_growth_certificate_reads_the_cycle_not_the_base(self, monkeypatch):
+        # the benchmark's late odd cycle at 10⁵ base edges: growth grows the
+        # base, crosses the bridge (the last edge) and clashes on the
+        # 301-cycle; a BFS from one end of the 299-edge path reads the mask
+        # for the whole base, about 5×10⁴ times
+        g = generate(GenSpec(kind="planted_odd_cycle", n_left=25_000, n_right=25_000,
+                             m=100_000, cycle_len=301, seed=1))
+        calls = []
+
+        def recorded(g, a, b, vertex_ok):
+            calls.append((a, b, bytearray(vertex_ok), bfs_path(g, a, b, vertex_ok)))
+            return calls[-1][3]
+
+        monkeypatch.setattr(checkers_module, "bfs_path", recorded)
+        outcome, _ = checkers_module.run_instrumented(g, "growth")
+        assert outcome.odd_cycle.length == 301
+        [(a, b, member, path)] = calls
+        counted = CountingMask(member)
+        assert bfs_path(g, a, b, vertex_ok=counted) == path
+        assert path.length == 299
+        assert counted.reads <= 3 * 301
