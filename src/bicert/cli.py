@@ -64,7 +64,9 @@ def _verified_run(g: Graph, name: str) -> _Run:
 
 def _worth_forking(g: Graph, algorithms: tuple[str, ...]) -> bool:
     """Whether splitting ``algorithms`` over two processes can pay."""
-    if len(algorithms) < 2 or g.m < _FORK_EDGES or not hasattr(os, "fork"):
+    # a loop answers all four checkers in their O(1) pre-pass
+    if (len(algorithms) < 2 or g.m < _FORK_EDGES or g.first_loop is not None
+            or not hasattr(os, "fork")):
         return False
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
@@ -145,14 +147,15 @@ def _worker_runs(answer: bytes, status: int) -> list[_Run]:
     ]
 
 
-def _shared_slots(g: Graph) -> tuple[memoryview, memoryview] | None:
-    """Views ``(head, nxt)`` of one anonymous region that a fork leaves shared.
+def _shared_slots(g: Graph) -> tuple | None:
+    """Slot lists ``(head, nxt)`` that a fork leaves shared between both processes.
 
-    None, with nothing mapped, when ``g`` already has its adjacency (a fork
-    shares that as it is) or no region can be mapped.
+    ``g``'s own adjacency when it has one (a fork shares that as it is);
+    else views of one anonymous region, mapped here and not yet linked; or
+    None when no region can be mapped.
     """
     if g._adj is not None:
-        return None
+        return g._adj
     import mmap  # here only, so that a check that does not fork never loads it
 
     try:
@@ -161,17 +164,6 @@ def _shared_slots(g: Graph) -> tuple[memoryview, memoryview] | None:
         return None
     slots = memoryview(region).cast("q")
     return slots[:g.n], slots[g.n:]
-
-
-def _build_and_announce(g: Graph, shared: tuple[memoryview, memoryview],
-                        ready: int) -> tuple[memoryview, memoryview]:
-    """In the parent: link ``g``'s adjacency into ``shared``, then tell the worker."""
-    link_slots(g.ends, *shared)
-    try:
-        os.write(ready, b"\1")
-    except BrokenPipeError:  # the worker has ended already
-        pass
-    return shared
 
 
 def _adopt(shared: tuple[memoryview, memoryview], ready: int) -> tuple | None:
@@ -184,52 +176,52 @@ def _adopt(shared: tuple[memoryview, memoryview], ready: int) -> tuple | None:
 def _two_halves(g: Graph, algorithms: tuple[str, ...]) -> list[_Run] | None:
     """``algorithms[0::2]`` here and ``algorithms[1::2]`` in a forked worker.
 
-    The adjacency is built once, here, into a region both processes map
-    (``_shared_slots``): the first ``g.adjacency()`` call here links it and
-    writes one byte to a "ready" pipe, and the worker's first call waits
-    for that byte and adopts the same views.  If this half ends without
-    building, the pipe's end-of-file sends the worker to build its own.
-    When ``g`` already has an adjacency, or no region can be mapped, no
-    pipe is opened: both processes use the adjacency ``g`` has, or each
-    builds its own.  No source is left set on ``g`` once this returns or
-    raises.
+    The adjacency is built once, here, into slot lists both processes map
+    (``_shared_slots``): right after the fork, before its own half, this
+    process links them (unless ``g`` had them already), keeps them as
+    ``g``'s and writes one byte to a "ready" pipe.  The worker's first
+    ``g.adjacency()`` call waits for that byte and adopts the same lists,
+    so its checkers may stream the edges meanwhile.
 
     The worker is reaped before this returns or raises: killed first if
-    its answer was not read (this half raised).  On Linux the worker is
-    also killed when this process dies by a signal (see ``_dies_with``).
-    bicert starts no threads, so the fork copies a process in a consistent
-    state.  None, with nothing run, when no process can be forked.
+    its answer was not read (this half or the build raised).  On Linux the
+    worker is also killed when this process dies by a signal (see
+    ``_dies_with``).  bicert starts no threads, so the fork copies a
+    process in a consistent state.  None, with nothing run, when no region
+    can be mapped or no process can be forked.
     """
     parent = os.getpid()
     shared = _shared_slots(g)
+    if shared is None:  # no memory to spare: the caller runs them all
+        return None
     read_end, write_end = os.pipe()
-    ready_read, ready_write = os.pipe() if shared else (None, None)
+    ready_read, ready_write = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # no process to spare (EAGAIN, ENOMEM): the caller runs them all
         for fd in (read_end, write_end, ready_read, ready_write):
-            if fd is not None:
-                os.close(fd)
+            os.close(fd)
         return None
     if pid == 0:
         os.close(read_end)
-        if shared:
-            os.close(ready_write)  # else the parent's close is no end-of-file here
-            g._adj_source = partial(_adopt, shared, ready_read)
+        os.close(ready_write)  # else the parent's close is no end-of-file here
+        g._adj_source = partial(_adopt, shared, ready_read)
         _worker_half(g, algorithms[1::2], write_end, parent)
     os.close(write_end)
-    if shared:
-        os.close(ready_read)
-        g._adj_source = partial(_build_and_announce, g, shared, ready_write)
+    os.close(ready_read)
     answer = None
     try:
         with os.fdopen(read_end, "rb") as pipe:
             try:
-                mine = [_verified_run(g, name) for name in algorithms[0::2]]
+                if g._adj is None:
+                    link_slots(g.ends, *shared)
+                    g._adj = shared
+                os.write(ready_write, b"\1")
+            except BrokenPipeError:  # the worker has ended already
+                pass
             finally:
-                if shared:
-                    g._adj_source = None
-                    os.close(ready_write)
+                os.close(ready_write)
+            mine = [_verified_run(g, name) for name in algorithms[0::2]]
             answer = pipe.read()
     finally:
         if answer is None:

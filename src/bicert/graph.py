@@ -150,8 +150,8 @@ class Graph:
         They are two ``array('q')`` built here by ``link_slots``, unless
         ``_adj_source`` is set: then the first call clears it and keeps what
         it returns instead, and builds the arrays only if that is None.
-        ``cli._two_halves`` sets it on both sides of a fork, so that one
-        build fills views of a region both processes map.
+        ``cli._two_halves`` sets it in its forked worker, to adopt the
+        views of a region both processes map once the parent links them.
         """
         if self._adj is None:
             source, self._adj_source = self._adj_source, None

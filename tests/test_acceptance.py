@@ -56,8 +56,8 @@ def test_criterion_1_exhaustive_five_vertex_equivalence(capsys):
             g = build_graph(5, pairs)
             colorable = brute_force_bipartite(g) is not None
             assert colorable == (find_odd_cycle_exhaustive(g) is None)
-            for name in ALGORITHM_NAMES:
-                assert check(g, name).is_bipartite == colorable
+            for outcome, _, _ in cli._certified_runs(g, ALGORITHM_NAMES):
+                assert outcome.is_bipartite == colorable
         assert time.perf_counter() - started < 10.0
 
 
@@ -76,8 +76,7 @@ def test_criterion_2_randomized_oracle_equivalence(capsys):
                                m=rng.below(min(24, cap) + 1), seed=i)
             g = generate(spec)
             want = brute_force_bipartite(g) is not None
-            for name in ALGORITHM_NAMES:
-                outcome = check(g, name)
+            for outcome, _, _ in cli._certified_runs(g, ALGORITHM_NAMES):
                 assert verify_outcome(g, outcome)
                 assert outcome.is_bipartite == want
         assert time.perf_counter() - started < 60.0
@@ -92,8 +91,8 @@ def test_criterion_3_planted_families(capsys):
             g = generate(GenSpec(kind="planted_bipartite", n_left=left,
                                  n_right=total - left,
                                  m=rng.below(2 * total + 1), seed=i))
-            for name in ALGORITHM_NAMES:
-                assert check(g, name).is_bipartite
+            for outcome, _, _ in cli._certified_runs(g, ALGORITHM_NAMES):
+                assert outcome.is_bipartite
         for i in range(1_000):
             rng = SplitMix64(20_000 + i)
             base = rng.below(1990)
@@ -107,8 +106,8 @@ def test_criterion_3_planted_families(capsys):
                 spec = GenSpec(kind="planted_odd_cycle", n_left=base,
                                n_right=0, cycle_len=cycle_len, seed=i)
             g = generate(spec)
-            for name in ALGORITHM_NAMES:
-                assert not check(g, name).is_bipartite
+            for outcome, _, _ in cli._certified_runs(g, ALGORITHM_NAMES):
+                assert not outcome.is_bipartite
 
 
 def test_criterion_4_certificate_invariants(capsys):
@@ -279,11 +278,12 @@ def test_criterion_7_self_certification_gate(capsys, tmp_path):
             else:
                 spec = GenSpec(kind="forest", n=1 + rng.below(50), seed=i)
             g = generate(spec)
-            for name in ALGORITHM_NAMES:
-                outcome, _ = run_instrumented(g, name)
+            runs = [(*run_instrumented(g, name), 0) for name in ALGORITHM_NAMES]
+            for outcome, _, _ in runs:
                 outcomes += 1
                 if not verify_outcome(g, outcome):
                     rejections += 1
+            cli._agree(g, ALGORITHM_NAMES, runs)
         assert outcomes == 8_000
         assert rejections == 0
 

@@ -405,6 +405,13 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def raising(exc):
+    """A stand-in for a call that fails with ``exc``."""
+    def raise_(*args):
+        raise exc
+    return raise_
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 class TestTwoProcesses:
     """With at least ``_FORK_EDGES`` edges, flip and forest run in a forked worker."""
@@ -530,45 +537,80 @@ class TestTwoProcesses:
         assert len(forks) == 2
         assert_no_child_left()
 
-    def test_a_half_here_that_never_builds_lets_the_worker_build(self, big, forks,
-                                                                link_passes):
-        # dsu asks for the adjacency only to extract an odd cycle; on the
-        # bipartite graph the worker reads end-of-file and builds its own
-        g, code = build_graph(big[0].n, big[0].edges()), big[2]
-
-        def hung(signum, frame):
-            raise TimeoutError("the worker waits for a build that never comes")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            runs = cli._two_halves(g, ("dsu", "forest"))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+    def test_the_link_pass_runs_here_even_when_this_half_never_asks(self, big, forks,
+                                                                   link_passes):
+        # dsu asks for the adjacency only to extract an odd cycle
+        g = build_graph(big[0].n, big[0].edges())
+        runs = cli._two_halves(g, ("dsu", "forest"))
+        assert len(forks) == 1
+        assert link_passes() == [os.getpid()]
         assert [(outcome, ops) for outcome, ops, _ in runs] == [
             run_instrumented(big[0], name) for name in ("dsu", "forest")
         ]
-        assert len(forks) == 1
-        assert link_passes() == [os.getpid() if code else forks[0]]
         assert g._adj_source is None
-        assert (g._adj is None) == (code == 0)
+        assert g.adjacency() == build_graph(g.n, g.edges()).adjacency()
         assert_no_child_left()
 
-    def test_no_region_means_two_private_builds(self, big, forks, link_passes,
-                                                monkeypatch):
+    def test_no_region_runs_all_here(self, big, forks, link_passes, monkeypatch):
         import mmap
 
-        def no_region(*args):
-            raise OSError(12, "Cannot allocate memory")
-
-        monkeypatch.setattr(mmap, "mmap", no_region)
+        monkeypatch.setattr(mmap, "mmap", raising(OSError(12, "Cannot allocate memory")))
         g = build_graph(big[0].n, big[0].edges())
         runs = cli._certified_runs(g, ALGORITHM_NAMES)
+        assert forks == []
+        assert link_passes() == [os.getpid()]
         assert [(outcome, ops) for outcome, ops, _ in runs] == [
             run_instrumented(big[0], name) for name in ALGORITHM_NAMES
         ]
-        assert sorted(link_passes()) == sorted([os.getpid(), forks[0]])
+
+    def test_a_loop_forks_nothing_and_prints_the_same(self, forks, tmp_path, capsys,
+                                                     monkeypatch):
+        # all four checkers answer a loop in their pre-pass, so a fork can only cost
+        base = generate(GenSpec(kind="planted_bipartite", n_left=2_000, n_right=2_000,
+                                m=cli._FORK_EDGES - 1, seed=1))
+        path = tmp_path / "loop.txt"
+        path.write_text(write_edge_list(build_graph(base.n, [*base.edges(), (7, 7)])))
+        assert cli.main(["check", str(path), "--json"]) == 1
+        serial = capsys.readouterr().out
+        assert forks == []
+        monkeypatch.setattr(cli, "_worth_forking", lambda g, algorithms: True)
+        assert cli.main(["check", str(path), "--json"]) == 1
+        assert capsys.readouterr().out == serial
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts open descriptors in /proc/self/fd")
+    @pytest.mark.parametrize("ending", ["forked", "fork-fails", "no-region", "half-raises",
+                                        "link-raises"])
+    def test_every_ending_closes_its_pipes_and_reaps(self, ending, big, monkeypatch):
+        g = build_graph(big[0].n, big[0].edges())
+        serial = [run_instrumented(big[0], name) for name in ALGORITHM_NAMES]
+        run = cli.run_instrumented
+
+        def dsu_broke(g, algorithm):
+            if algorithm == "dsu":
+                raise RuntimeError("dsu broke")
+            return run(g, algorithm)
+
+        if ending == "fork-fails":
+            monkeypatch.setattr(os, "fork", raising(BlockingIOError(11, "no process")))
+        elif ending == "no-region":
+            import mmap
+
+            monkeypatch.setattr(mmap, "mmap", raising(OSError(12, "no memory")))
+        elif ending == "link-raises":
+            monkeypatch.setattr(cli, "link_slots", raising(RuntimeError("link broke")))
+        elif ending == "half-raises":
+            monkeypatch.setattr(cli, "run_instrumented", dsu_broke)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        if ending.endswith("raises"):
+            with pytest.raises(RuntimeError, match=" broke"):
+                cli._certified_runs(g, ALGORITHM_NAMES)
+        else:
+            runs = cli._certified_runs(g, ALGORITHM_NAMES)
+            assert [(outcome, ops) for outcome, ops, _ in runs] == serial
+        assert len(os.listdir("/proc/self/fd")) == open_fds
         assert_no_child_left()
 
     def test_import_leaves_mmap_unloaded(self):

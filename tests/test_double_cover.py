@@ -102,7 +102,7 @@ def cycle_steps(cycle: list[int], n: int, keys: np.ndarray) -> np.ndarray:
 
 
 def cross_check(g, bipartite: bool, text: str, fmt: str, walked: bool, tmp_path, capsys,
-                monkeypatch, algo: str = "all") -> None:
+                monkeypatch) -> None:
     ends = np.frombuffer(g.ends, dtype=np.int64)
     keys = edge_keys(ends, g.n)
     walks = []
@@ -118,7 +118,7 @@ def cross_check(g, bipartite: bool, text: str, fmt: str, walked: bool, tmp_path,
     path = tmp_path / "g"
     path.write_text(text)
     dot = tmp_path / "g.dot"  # the only output that names a cycle's edge ids
-    code = cli.main(["check", str(path), "--format", fmt, "--algo", algo, "--json",
+    code = cli.main(["check", str(path), "--format", fmt, "--json",
                      *([] if bipartite else ["--dot", str(dot)])])
     reports = json.loads(capsys.readouterr().out)
     assert bool(walks) == walked
@@ -158,13 +158,14 @@ def test_check_agrees_with_the_double_cover(kind, fmt, walked, tmp_path, capsys,
 
 
 def test_million_edge_planted_odd_cycle(tmp_path, capsys, monkeypatch):
-    # the 301-cycle's edges close the stream; forest reads every edge first
+    # the 301-cycle's edges close the stream; all four checkers run, in two
+    # processes over one shared adjacency, and their runs must agree
     g = generate(GenSpec(kind="planted_odd_cycle", n_left=250_000, n_right=250_000,
                          m=1_000_000 - 302, cycle_len=301, seed=1))
     assert g.m == 1_000_000
     bipartite = double_cover_bipartite(g.n, g.ends[0::2], g.ends[1::2])
     cross_check(g, bipartite, write_edge_list(g), "edgelist", False, tmp_path, capsys,
-                monkeypatch, algo="forest")
+                monkeypatch)
 
 
 @pytest.mark.parametrize("kind", list(SPECS))
