@@ -30,12 +30,13 @@ their even path with ``bfs_path``, a masked search over the adjacency
 between the path's ends and a ball around each end; forest walks tree
 parents.
 
-Per-vertex state is flat: bytearrays for flags and sides, ``array('q')``
-for ids, parents and counts.  flip keeps each component as an array linked
-list (``next`` per vertex; ``tail`` and ``size`` per component id, which is
-the component's first member), so merging two components is an O(1) splice
-after the smaller one is walked.  The only per-vertex Python list a checker
-builds is the ``Bipartition`` it returns.
+Per-vertex state is flat: bytearrays for flags and sides, arrays of 4-byte
+items (typecode ``graph.ID_TYPECODE``) for ids, parent slots and counts.
+flip keeps each component as an array linked list (``next`` per vertex;
+``tail`` and ``size`` per component id, which is the component's first
+member), so merging two components is an O(1) splice after the smaller one
+is walked.  The only per-vertex Python list a checker builds is the
+``Bipartition`` it returns.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .certificates import (
     verify_outcome,
 )
 from .errors import InputError, InternalInvariantError
-from .graph import Graph, bfs_path
+from .graph import ID_TYPECODE, Graph, bfs_path
 
 
 def _closed_by(g: Graph, kept: bytes | bytearray, a: int, b: int, eid: int) -> CheckOutcome:
@@ -113,10 +114,10 @@ def _incremental_flip(g: Graph) -> tuple[CheckOutcome, int]:
     side = bytearray(n)
     # components are linked lists of their members; a component's id is its
     # first member, and only an id's tail and size slots are meaningful
-    comp_id = array("q", range(n))
-    nxt = array("q", [-1]) * n  # the next member of v's component, -1 at its tail
-    tail = array("q", range(n))
-    size = array("q", [1]) * n
+    comp_id = array(ID_TYPECODE, range(n))
+    nxt = array(ID_TYPECODE, [-1]) * n  # the next member of v's component, -1 at its tail
+    tail = array(ID_TYPECODE, range(n))
+    size = array(ID_TYPECODE, [1]) * n
     flips = 0
     # every edge before a clash is accepted: each branch below merges,
     # skips a redundant edge, or returns
@@ -152,7 +153,7 @@ def _incremental_flip(g: Graph) -> tuple[CheckOutcome, int]:
 
 def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
     n = g.n
-    parent = array("q", range(n))
+    parent = array(ID_TYPECODE, range(n))
     rank = bytearray(n)
     par = bytearray(n)  # parity of each vertex relative to its parent
     in_forest = bytearray(g.m)  # edge ids that performed unions
@@ -211,7 +212,7 @@ def _peel(deg: array, nbrs: array) -> list[int]:
     so that vertex is left over on side 0, and the coloring is rebuilt in
     reverse removal order.  A degree left above 0 means a cycle.
     """
-    order = array("q")
+    order = array(ID_TYPECODE)
     for i in range(len(deg)):
         v = i
         while deg[v] == 1:
@@ -237,9 +238,10 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
     head, nxt = g.adjacency()
     visited = bytearray(n)
     is_tree = bytearray(g.m)
-    up = array("q", [-1]) * n  # the slot of ends holding each vertex's parent; -1 at a root
-    deg = array("q", [0]) * n  # forest degree
-    nbrs = array("q", [0]) * n  # XOR of forest neighbors
+    # the slot of ends holding each vertex's parent; -1 at a root
+    up = array(ID_TYPECODE, [-1]) * n
+    deg = array(ID_TYPECODE, [0]) * n  # forest degree
+    nbrs = array(ID_TYPECODE, [0]) * n  # XOR of forest neighbors
     for seed in range(n):
         if visited[seed]:
             continue

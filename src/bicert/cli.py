@@ -28,9 +28,9 @@ from typing import Callable, Iterator
 from .certificates import Bipartition, CheckOutcome, OddCycle, verify_outcome
 from .checkers import ALGORITHM_NAMES, run_instrumented, run_verified
 from .errors import InputError, InternalInvariantError, ParseError
-from .formats import parse_dimacs, parse_edge_list, write_dimacs, write_dot, write_edge_list
+from .formats import dot_runs, parse_dimacs, parse_edge_list, write_dimacs, write_edge_list
 from .generators import KIND_NAMES, GenSpec, generate
-from .graph import Graph, link_slots
+from .graph import ID_TYPECODE, Graph, link_slots
 
 EXIT_BIPARTITE = 0
 EXIT_ODD_CYCLE = 1
@@ -159,10 +159,10 @@ def _shared_slots(g: Graph) -> tuple | None:
     import mmap  # here only, so that a check that does not fork never loads it
 
     try:
-        region = mmap.mmap(-1, 8 * (g.n + len(g.ends)))  # MAP_SHARED
+        region = mmap.mmap(-1, g.ends.itemsize * (g.n + len(g.ends)))  # MAP_SHARED
     except OSError:
         return None
-    slots = memoryview(region).cast("q")
+    slots = memoryview(region).cast(ID_TYPECODE)
     return slots[:g.n], slots[g.n:]
 
 
@@ -390,7 +390,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     runs = _certified_runs(g, algos)
     first = runs[0][0]
     if args.dot:
-        Path(args.dot).write_text(write_dot(g, first))
+        with open(args.dot, "w") as out:
+            out.writelines(dot_runs(g, first))
     write = sys.stdout.write
     with _reader_may_leave():
         if args.json:  # the bytes of print(json.dumps(reports, indent=2))

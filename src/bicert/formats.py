@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import re
 from array import array
+from itertools import islice
 from typing import Iterator
 
 from .certificates import CheckOutcome, verify_outcome
 from .errors import InputError, ParseError
-from .graph import MAX_VERTICES, Graph, build_graph
+from .graph import ID_TYPECODE, MAX_EDGES, MAX_VERTICES, Graph, build_graph
 
 # fixed fills for the two sides; certificate edges go bold red
 _SIDE_COLORS = ("#a6cee3", "#fdbf6f")
+# DOT lines joined per piece of dot_runs: about 200 KiB of text at most
+_DOT_RUN = 1 << 12
 
 # The exact layouts write_edge_list and write_dimacs emit, read in bulk; any
 # other text (comments, blank lines, tabs, CRLF, no final newline, a bad line)
@@ -54,6 +57,10 @@ def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
         if end < 0:
             return
         begin = end + 1
+
+
+def _too_many_edges(line_no: int) -> ParseError:
+    return ParseError(f"edge count exceeds the limit of {MAX_EDGES}", line_no)
 
 
 def _runs(ids: array) -> Iterator[list[int]]:
@@ -135,7 +142,7 @@ def parse_edge_list(text: str) -> Graph:
 
 def _walk_edge_list(text: str) -> Graph:
     declared: int | None = None
-    ids = array("q")  # u and v of each edge in turn, range-checked first
+    ids = array(ID_TYPECODE)  # u and v of each edge in turn, range-checked first
     for line_no, tokens in _lines(text):
         if tokens[0].startswith("#"):
             continue
@@ -151,6 +158,8 @@ def _walk_edge_list(text: str) -> Graph:
             continue
         if len(tokens) != 2:
             raise ParseError(f"expected 'u v', got {len(tokens)} tokens", line_no)
+        if len(ids) == 2 * MAX_EDGES:
+            raise _too_many_edges(line_no)
         u = _int_token(tokens[0], line_no, "vertex id")
         v = _int_token(tokens[1], line_no, "vertex id")
         if declared is not None:
@@ -199,7 +208,7 @@ def parse_dimacs(text: str) -> Graph:
 def _walk_dimacs(text: str) -> Graph:
     n: int | None = None
     declared_m = 0
-    ids = array("q")  # u - 1 and v - 1 of each edge in turn, range-checked first
+    ids = array(ID_TYPECODE)  # u - 1 and v - 1 of each edge in turn, range-checked first
     for line_no, tokens in _lines(text):
         if tokens[0].startswith("c"):
             continue
@@ -214,11 +223,17 @@ def _walk_dimacs(text: str) -> Graph:
                 raise ParseError(
                     f"vertex count {n} exceeds the limit of {MAX_VERTICES}", line_no
                 )
+            if declared_m > MAX_EDGES:
+                raise ParseError(
+                    f"edge count {declared_m} exceeds the limit of {MAX_EDGES}", line_no
+                )
         elif tokens[0] == "e":
             if n is None:
                 raise ParseError("edge line before problem line", line_no)
             if len(tokens) != 3:
                 raise ParseError("edge line must be 'e <u> <v>'", line_no)
+            if len(ids) == 2 * MAX_EDGES:
+                raise _too_many_edges(line_no)
             u = _int_token(tokens[1], line_no, "vertex id")
             v = _int_token(tokens[2], line_no, "vertex id")
             if not (1 <= u <= n and 1 <= v <= n):
@@ -252,24 +267,29 @@ def write_dot(g: Graph, outcome: CheckOutcome) -> str:
     outcome is re-verified first; one that fails is an input error.  An
     empty graph renders as a valid empty DOT body.
     """
+    return "".join(dot_runs(g, outcome))
+
+
+def dot_runs(g: Graph, outcome: CheckOutcome) -> Iterator[str]:
+    """``write_dot(g, outcome)`` in pieces of up to ``_DOT_RUN`` lines each.
+
+    The outcome is verified before the first piece, and each piece is made
+    as it is asked for, so a writer that writes them one by one never holds
+    a line per vertex or edge.
+    """
     if not verify_outcome(g, outcome):
         raise InputError("outcome does not verify against this graph")
-    lines = ["graph certified {"]
     if outcome.bipartition is not None:
-        side = outcome.bipartition.side
-        for v in range(g.n):
-            lines.append(
-                f'  {v} [style=filled, fillcolor="{_SIDE_COLORS[side[v]]}"];'
-            )
-        lines.extend(f"  {u} -- {v};" for u, v in g.edges())
+        fills = [f' [style=filled, fillcolor="{color}"];\n' for color in _SIDE_COLORS]
+        vertex_lines = (f"  {v}{fills[s]}" for v, s in enumerate(outcome.bipartition.side))
+        edge_lines = (f"  {u} -- {v};\n" for u, v in g.edges())
     else:
         in_cycle = set(outcome.odd_cycle.edge_ids)
-        for v in range(g.n):
-            lines.append(f"  {v};")
-        for eid, (u, v) in enumerate(g.edges()):
-            if eid in in_cycle:
-                lines.append(f"  {u} -- {v} [color=red, penwidth=2.0];")
-            else:
-                lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        vertex_lines = (f"  {v};\n" for v in range(g.n))
+        edge_lines = (f"  {u} -- {v} [color=red, penwidth=2.0];\n" if eid in in_cycle
+                      else f"  {u} -- {v};\n" for eid, (u, v) in enumerate(g.edges()))
+    yield "graph certified {\n"
+    for lines in vertex_lines, edge_lines:
+        while run := "".join(islice(lines, _DOT_RUN)):
+            yield run
+    yield "}\n"

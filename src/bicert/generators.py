@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import InputError
-from .graph import MAX_VERTICES, Graph, build_graph
+from .graph import MAX_EDGES, MAX_VERTICES, Graph, build_graph
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -69,6 +69,11 @@ def _require(cond: bool, message: str) -> None:
         raise InputError(message)
 
 
+def _distinct_pairs(n: int, loops: bool) -> int:
+    """The unordered pairs of ``n`` vertices, and the n loops when ``loops``."""
+    return n * (n - 1) // 2 + (n if loops else 0)
+
+
 def _random(spec: GenSpec, rng: SplitMix64) -> Graph:
     """Uniform random graph on ``n`` vertices.
 
@@ -92,7 +97,7 @@ def _random(spec: GenSpec, rng: SplitMix64) -> Graph:
         _require(n >= 1 if spec.allow_loops else n >= 2,
                  f"no legal edges exist for n={n} with these flags")
     if not spec.allow_multi:
-        capacity = n * (n - 1) // 2 + (n if spec.allow_loops else 0)
+        capacity = _distinct_pairs(n, spec.allow_loops)
         _require(m <= capacity,
                  f"m={m} exceeds the {capacity} distinct pairs available")
     seen: set[tuple[int, int]] = set()
@@ -216,4 +221,24 @@ def generate(spec: GenSpec) -> Graph:
         _require(0.0 <= spec.p <= 1.0, f"p must lie in [0, 1], got {spec.p}")
     if spec.m is not None:
         _require(spec.m >= 0, f"m must be non-negative, got {spec.m}")
+    most = _most_edges(spec)
+    _require(most <= MAX_EDGES,
+             f"{spec.kind} may make {most} edges, more than the limit of {MAX_EDGES}")
     return build(spec, SplitMix64(spec.seed))
+
+
+def _most_edges(spec: GenSpec) -> int:
+    """The most edges ``spec`` can make: m, or every pair p enumerates, and a planted cycle's.
+
+    ``generate`` refuses a spec over ``MAX_EDGES`` before drawing any pair,
+    since the graph would refuse the edges only once they were drawn.
+    """
+    if spec.p is None:
+        most = spec.m or 0  # a forest has fewer edges than its n <= MAX_VERTICES
+    elif spec.kind == "random":
+        most = _distinct_pairs(spec.n, spec.allow_loops)
+    else:
+        most = spec.n_left * spec.n_right
+    if spec.kind == "planted_odd_cycle":
+        most += spec.cycle_len + 1  # the cycle and its bridge to the base
+    return most

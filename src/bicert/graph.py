@@ -4,10 +4,12 @@ Vertices are dense integers ``0..n-1`` and edges keep their input order as
 dense ids ``0..m-1``.  Parallel edges and loops are legal everywhere in this
 package; a loop is the edge ``(v, v)``.
 
-Storage is flat and in stdlib arrays: one ``array('q')`` holds every edge's
-two endpoints, and the adjacency links each vertex's endpoint slots in that
-array into a list, built the first time a reader asks for it.  Routes that
-only stream the edges in id order never build it.
+Storage is flat and in stdlib arrays of 4-byte ids, typecode
+``ID_TYPECODE``: one array holds every edge's two endpoints, and the
+adjacency links each vertex's endpoint slots in that array into a list,
+built the first time a reader asks for it.  Routes that only stream the
+edges in id order never build it.  ``MAX_VERTICES`` and ``MAX_EDGES`` keep
+every vertex id and every slot below 2**31, so 4 bytes hold them all.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ from .errors import InputError
 # the most vertices a Graph may have; a larger declared count is bad input,
 # refused before any adjacency is allocated
 MAX_VERTICES = 10_000_000
+# the most edges a Graph may have: every slot 2e + 1 of ``ends``, and the
+# ``-2 - slot`` that ``_region_bfs`` stores, then fits in 31 bits and a sign
+MAX_EDGES = (1 << 30) - 1
+# the typecode of every array of vertex ids, slots and counts: a C int,
+# 4 bytes on every platform CPython supports
+ID_TYPECODE = "i"
 # pairs flattened into one run at a time: a run's list and its two halves
 # for the loop check stay under 1 MiB
 _RUN_PAIRS = 1 << 14
@@ -36,7 +44,7 @@ class Graph:
 
     ``ends`` holds edge e's endpoints at slots ``2e`` and ``2e + 1``.
     ``adjacency()`` returns ``(head, nxt)``, two int sequences of format
-    ``'q'``: ``head[x]`` is the first slot of ``ends`` holding x and
+    ``ID_TYPECODE``: ``head[x]`` is the first slot of ``ends`` holding x and
     ``nxt[s]`` the next slot holding ``ends[s]``, -1 ending a list.  Walking
     x's list visits its edges in edge-id order; at slot s the neighbor is
     ``ends[s ^ 1]`` and the edge id ``s >> 1``.  A non-loop edge appears
@@ -60,7 +68,7 @@ class Graph:
         if n > MAX_VERTICES:
             raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         self.n = n
-        self.ends = array("q")
+        self.ends = array(ID_TYPECODE)
         self.first_loop: int | None = None
         self._adj: tuple[Sequence[int], Sequence[int]] | None = None
         self._adj_source: Callable[[], tuple | None] | None = None
@@ -76,8 +84,10 @@ class Graph:
         A run that is None, of odd length, or holds anything but ints in
         ``0..n-1`` is refused: ``ends`` stays as it was and False is
         returned.  Every check is a C-level pass over the run, so an id
-        past a 64-bit slot is refused by its value, never by an
-        OverflowError.
+        past a 4-byte slot is refused by its value, never by an
+        OverflowError.  A run that is not refused but would take the graph
+        past ``MAX_EDGES`` edges raises InputError, as ``_take_pairs`` does
+        on its pairs.
         """
         if run is None or len(run) & 1:
             return False
@@ -87,6 +97,8 @@ class Graph:
         try:
             if min(run) < 0 or max(run) >= self.n:
                 return False
+            if len(ends) + len(run) > 2 * MAX_EDGES:
+                raise _too_many_edges()
             first = len(ends) >> 1
             ends.fromlist(run)
         except TypeError:  # an item that is not an int
@@ -98,21 +110,26 @@ class Graph:
         return True
 
     def _take_pairs(self, pairs: Iterator) -> None:
-        """Append ``pairs`` one by one, raising InputError naming the first bad edge."""
+        """Append ``pairs`` one by one, raising InputError naming the first bad edge.
+
+        A pair past the first ``MAX_EDGES`` edges raises InputError too.
+        """
         n, ends = self.n, self.ends
         first = len(ends) >> 1
         append = ends.append
-        for eid, pair in enumerate(pairs, first):
+        for eid, pair in enumerate(islice(pairs, MAX_EDGES - first), first):
             try:
                 u, v = pair  # a wrong length must not shift the edges after it
                 append(u)
                 append(v)
             except (TypeError, ValueError):
                 raise InputError(f"edge {eid} is not a pair of integers: {pair!r}") from None
-            except OverflowError:  # past a 64-bit slot, so past any n
+            except OverflowError:  # past a 4-byte slot, so past any n
                 del ends[2 * eid:]
                 _check_range(n, ends)
                 raise _out_of_range(n, eid, u, v) from None
+        for _ in pairs:  # a pair past the limit
+            raise _too_many_edges()
         _check_range(n, ends)
         if self.first_loop is None:
             self.first_loop = next(compress(count(first), map(
@@ -147,7 +164,7 @@ class Graph:
     def adjacency(self) -> tuple[Sequence[int], Sequence[int]]:
         """The slot lists ``(head, nxt)``, made on the first call and kept.
 
-        They are two ``array('q')`` built here by ``link_slots``, unless
+        They are two ``array(ID_TYPECODE)`` built here by ``link_slots``, unless
         ``_adj_source`` is set: then the first call clears it and keeps what
         it returns instead, and builds the arrays only if that is None.
         ``cli._two_halves`` sets it in its forked worker, to adopt the
@@ -157,7 +174,7 @@ class Graph:
             source, self._adj_source = self._adj_source, None
             adj = None if source is None else source()
             if adj is None:
-                adj = array("q", [0]) * self.n, array("q", [0]) * len(self.ends)
+                adj = array(ID_TYPECODE, [0]) * self.n, array(ID_TYPECODE, [0]) * len(self.ends)
                 link_slots(self.ends, *adj)
             self._adj = adj
         return self._adj
@@ -176,16 +193,20 @@ def link_slots(ends: Sequence[int], head: MutableSequence[int],
     """Write the lists ``Graph.adjacency`` returns into ``head`` and ``nxt``.
 
     ``head`` holds one item per vertex and ``nxt`` one per slot of ``ends``,
-    both of format ``'q'``, whatever they held before: an ``array('q')``, or
+    both of format ``ID_TYPECODE``, whatever they held before: an array, or
     a view of memory that another process shares.
     """
-    ends_of_lists = array("q", [-1]) * _HEAD_RUN
+    ends_of_lists = array(ID_TYPECODE, [-1]) * _HEAD_RUN
     for lo in range(0, len(head), _HEAD_RUN):
         head[lo:lo + _HEAD_RUN] = ends_of_lists[:len(head) - lo]
     # prepending from the last slot down leaves each list ascending
     for s, x in zip(range(len(ends) - 1, -1, -1), reversed(ends)):
         nxt[s] = head[x]
         head[x] = s
+
+
+def _too_many_edges() -> InputError:
+    return InputError(f"edge count exceeds the limit of {MAX_EDGES}")
 
 
 def _out_of_range(n: int, eid: int, u: int, v: int) -> InputError:
@@ -347,14 +368,14 @@ def bfs_path(
     each, depend on the region alone.  The region is found by growing a
     ball around each end until the two touch (Pohl's bidirectional
     search), then descending from where they touched.  Apart from two
-    ``array('q')`` of distances, one per end, the search visits only the
+    n-long arrays of 4-byte distances, one per end, the search visits only the
     two balls and the region, so its cost follows them, not all that ``a``
     reaches.
     """
     if a == b:
         return Path([a], [])
     # each vertex's distance from a and from b, -1 where not known
-    dists = array("q", [-1]) * g.n, array("q", [-1]) * g.n
+    dists = array(ID_TYPECODE, [-1]) * g.n, array(ID_TYPECODE, [-1]) * g.n
     dists[0][a] = dists[1][b] = 0
     meeting = _grow_balls(g, dists, a, b, vertex_ok, edge_ok)
     if meeting is None:

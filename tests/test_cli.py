@@ -8,12 +8,14 @@ import io
 import json
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
+from array import array
 from contextlib import redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -28,6 +30,7 @@ from bicert import ALGORITHM_NAMES, Bipartition, CheckOutcome, OddCycle, build_g
 from bicert.checkers import run_instrumented
 from bicert.formats import parse_edge_list, write_edge_list
 from bicert.generators import GenSpec, generate
+from bicert.graph import MAX_EDGES
 from conftest import graphs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -549,6 +552,21 @@ class TestTwoProcesses:
         ]
         assert g._adj_source is None
         assert g.adjacency() == build_graph(g.n, g.edges()).adjacency()
+        assert_no_child_left()
+
+    def test_ids_are_four_bytes_in_every_table(self, big, forks):
+        assert array("i").itemsize == 4
+        private = build_graph(big[0].n, big[0].edges())
+        for table in (private.ends, *private.adjacency()):
+            assert (table.typecode, table.itemsize) == ("i", 4)
+        shared = build_graph(big[0].n, big[0].edges())
+        cli._certified_runs(shared, ALGORITHM_NAMES)
+        assert len(forks) == 1
+        head, nxt = shared.adjacency()
+        for view in head, nxt:
+            assert isinstance(view, memoryview)
+            assert (view.format, view.itemsize) == ("i", 4)
+        assert (head.nbytes, nxt.nbytes) == (4 * shared.n, 8 * shared.m)
         assert_no_child_left()
 
     def test_no_region_runs_all_here(self, big, forks, link_passes, monkeypatch):
@@ -1100,6 +1118,45 @@ class TestReportWriter:
         assert '"side0": [\n        0,\n        1\n      ],\n      "side1": []\n' in out
 
 
+# requests for more edges than a graph may hold; each must exit 2 at once
+SIZE_PROBES = {
+    "gen-m": ["gen", "--kind", "planted-bipartite", "--left", "1", "--right", "1",
+              "--m", "10000000000"],
+    "bench-m": ["bench", "--kinds", "planted-bipartite", "--sizes", "4,10000000000",
+                "--seeds", "1"],
+    "gen-p": ["gen", "--kind", "random", "--n", "10000000", "--p", "0.0"],
+    "check-dimacs-m": ["check", "--format", "dimacs", "{dimacs}"],
+}
+# the address space each probe may use: enough to import bicert with numpy,
+# so that a probe that draws its pairs ends in MemoryError (exit 3) within
+# seconds, and one that enumerates them in the timeout
+PROBE_ADDRESS_SPACE = 512 << 20
+
+
+def _cap_address_space():
+    """In the probe's child process only, before it runs Python."""
+    resource.setrlimit(resource.RLIMIT_AS, (PROBE_ADDRESS_SPACE, PROBE_ADDRESS_SPACE))
+
+
+class TestSizeContract:
+    """Sizes bicert cannot hold are bad input, refused before any memory is spent."""
+
+    @pytest.mark.parametrize("argv", SIZE_PROBES.values(), ids=list(SIZE_PROBES))
+    def test_the_probe_exits_two_at_once(self, argv, tmp_path):
+        dimacs = tmp_path / "g.dimacs"
+        dimacs.write_text("p edge 3 2000000000\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "bicert.cli", *(a.format(dimacs=dimacs) for a in argv)],
+            capture_output=True, text=True, env=env, timeout=10,
+            preexec_fn=_cap_address_space)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert f"the limit of {MAX_EDGES}\n" in done.stderr
+
+
 class TestCheckMemory:
     """tracemalloc peak of a whole ``bicert check`` run per vertex, report included.
 
@@ -1107,26 +1164,33 @@ class TestCheckMemory:
     byte is per-vertex state: the checkers' tables, the certificates and the
     report.  Measured with stdout on os.devnull, text and --json alike:
 
-    algo    per-vertex objects    flat tables, streamed report
-    growth  123-131 B             19 B
-    flip    153 B                 42 B
-    dsu     113-122 B             20 B
-    forest  122-131 B             42 B
-    all     170 B                 66 B
+    algo      per-vertex objects  flat tables, streamed report  4-byte ids
+    growth    123-131 B           19 B                          14.6 B
+    flip      153 B               42 B                          25.6 B
+    dsu       113-122 B           20 B                          15.4 B
+    forest    122-131 B           42 B                          25.2 B
+    all       170 B               66 B                          49.2 B
+    all, dot  —                   233 B                         49.2 B
+
+    The last row writes the first checker's certificate with ``--dot`` as
+    well; the DOT took 233 B per vertex while it was built whole, and is
+    written in runs now.
     """
 
     N = 200_000
-    BOUNDS = {"growth": 32, "flip": 56, "dsu": 32, "forest": 56, "all": 96}
+    BOUNDS = {"growth": 20, "flip": 32, "dsu": 20, "forest": 32, "all": 64}
 
     # the two writers share the run writer, so the singles write text and
-    # all writes --json
-    @pytest.mark.parametrize("algo, as_json", [
-        *((algo, False) for algo in ALGORITHM_NAMES), ("all", True),
-    ], ids=[*ALGORITHM_NAMES, "all-json"])
-    def test_peak_bytes_per_vertex(self, algo, as_json, tmp_path, monkeypatch):
+    # all writes --json; the DOT rendering is the same with either
+    @pytest.mark.parametrize("algo, as_json, dot", [
+        *((algo, False, False) for algo in ALGORITHM_NAMES), ("all", True, False),
+        ("all", False, True),
+    ], ids=[*ALGORITHM_NAMES, "all-json", "all-dot"])
+    def test_peak_bytes_per_vertex(self, algo, as_json, dot, tmp_path, monkeypatch):
         path = tmp_path / "g.txt"
         path.write_text(f"n {self.N}\n")
-        argv = ["check", str(path), "--algo", algo, *(["--json"] if as_json else [])]
+        argv = ["check", str(path), "--algo", algo, *(["--json"] if as_json else []),
+                *(["--dot", str(tmp_path / "g.dot")] if dot else [])]
         with open(os.devnull, "w") as devnull:
             monkeypatch.setattr(sys, "stdout", devnull)
             tracemalloc.start()

@@ -103,7 +103,8 @@ def cycle_steps(cycle: list[int], n: int, keys: np.ndarray) -> np.ndarray:
 
 def cross_check(g, bipartite: bool, text: str, fmt: str, walked: bool, tmp_path, capsys,
                 monkeypatch) -> None:
-    ends = np.frombuffer(g.ends, dtype=np.int64)
+    # read at the array's own item size, then widened for edge_keys' products
+    ends = np.frombuffer(g.ends, dtype=f"i{g.ends.itemsize}").astype(np.int64)
     keys = edge_keys(ends, g.n)
     walks = []
 

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bicert.formats as formats
+import bicert.graph as graph_module
 from bicert import (
     Bipartition,
     CheckOutcome,
@@ -26,7 +27,7 @@ from bicert import (
     write_edge_list,
 )
 from bicert.generators import GenSpec, generate
-from bicert.graph import MAX_VERTICES
+from bicert.graph import MAX_EDGES, MAX_VERTICES
 from conftest import four_cycle, graphs, triangle
 
 LONG_ID = "1" * 5000  # more digits than int() converts by default
@@ -158,6 +159,13 @@ class TestParseDimacs:
         with pytest.raises(ParseError, match="line 2"):
             parse_dimacs("p edge 2 1\nq 1 2\n")
 
+    @pytest.mark.parametrize("text", ["p edge 3 2000000000\n", "p edge 3 2000000000\ne 1 2\n"])
+    def test_edge_count_over_the_cap(self, text):
+        # refused on its problem line, before a single edge is read
+        with pytest.raises(ParseError, match=(
+                f"^line 1: edge count 2000000000 exceeds the limit of {MAX_EDGES}$")):
+            parse_dimacs(text)
+
     def test_one_based_loop(self):
         g = parse_dimacs("p edge 1 1\ne 1 1\n")
         assert g.pairs == [(0, 0)]
@@ -165,6 +173,27 @@ class TestParseDimacs:
     @given(graphs())
     def test_round_trip(self, g):
         assert parse_dimacs(write_dimacs(g)) == g
+
+
+# three edges in each format and layout, read in bulk or by the line walk
+CAPPED_TEXTS = {
+    "edge-list-bulk": (parse_edge_list, "n 3\n0 1\n1 2\n2 0\n", 4),
+    "edge-list-walk": (parse_edge_list, "0 1\n1 2\n2 0\n", 3),
+    "dimacs-walk": (parse_dimacs, "c x\np edge 3 2\ne 1 2\ne 2 3\ne 3 1\n", 5),
+}
+
+
+@pytest.mark.parametrize("parse, text, line", CAPPED_TEXTS.values(), ids=list(CAPPED_TEXTS))
+def test_an_edge_line_past_the_cap_is_named(parse, text, line, monkeypatch):
+    monkeypatch.setattr(formats, "MAX_EDGES", 2)
+    monkeypatch.setattr(graph_module, "MAX_EDGES", 2)
+    with pytest.raises(ParseError, match=f"^line {line}: edge count exceeds the limit of 2$"):
+        parse(text)
+    monkeypatch.setattr(formats, "MAX_EDGES", 3)
+    monkeypatch.setattr(graph_module, "MAX_EDGES", 3)
+    if parse is parse_dimacs:
+        text = text.replace("p edge 3 2", "p edge 3 3")
+    assert parse(text).m == 3
 
 
 class TestWriteDot:
@@ -444,7 +473,7 @@ def edges_1e5():
 ], ids=["edge-list", "dimacs"])
 def test_line_walk_keeps_endpoints_flat(parse, text_of, edges_1e5):
     # neither text is in its writer's layout, so the line walk reads it; its
-    # ids go into one array of 64-bit slots, not one tuple per edge
+    # ids go into one array of 4-byte slots, not one tuple per edge
     g = edges_1e5
     parsed, peak = _parse_peak(parse, text_of(g))
     assert parsed.ends == g.ends
@@ -456,8 +485,8 @@ def test_line_walk_keeps_endpoints_flat(parse, text_of, edges_1e5):
     (parse_dimacs, write_dimacs),
 ], ids=["edge-list", "dimacs"])
 def test_bulk_read_decodes_a_chunk_at_a_time(parse, text_of, edges_1e5):
-    # measured 25.0 B per edge for the edge list and 26.2 for DIMACS: the
-    # graph's 16 and one chunk's ints; decoding the whole text at once would
+    # measured 18.4 B per edge for the edge list and 18.8 for DIMACS: the
+    # graph's 8 and one chunk's ints; decoding the whole text at once would
     # hold over 70 B per edge of ints
     g = edges_1e5
     parsed, peak = _parse_peak(parse, text_of(g))

@@ -17,7 +17,8 @@ from bicert import (
     generate,
     write_edge_list,
 )
-from bicert.graph import MAX_VERTICES
+import bicert.generators as generators_module
+from bicert.graph import MAX_EDGES, MAX_VERTICES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -264,3 +265,34 @@ class TestSpecValidation:
         # refused before a single vertex is drawn
         with pytest.raises(InputError, match="exceeds the limit"):
             generate(GenSpec(kind=kind, **{**VALID[kind], **sizes}))
+
+    @pytest.mark.parametrize("kind, sizes, most", [
+        ("random", dict(n=2, m=MAX_EDGES + 1), MAX_EDGES + 1),
+        ("random", dict(n=MAX_VERTICES, m=None, p=0.0, allow_loops=False),
+         MAX_VERTICES * (MAX_VERTICES - 1) // 2),
+        ("planted_bipartite", dict(m=10**10), 10**10),
+        ("planted_bipartite", dict(n_left=40_000, n_right=40_000, m=None, p=0.0), 16 * 10**8),
+        ("planted_odd_cycle", dict(m=MAX_EDGES - 3), MAX_EDGES + 1),  # with the cycle's 4
+    ])
+    def test_edge_cap(self, kind, sizes, most):
+        # refused before a single pair is drawn or enumerated
+        with pytest.raises(InputError, match=(
+                f"^{kind} may make {most} edges, more than the limit of {MAX_EDGES}$")):
+            generate(GenSpec(kind=kind, **{**VALID[kind], **sizes}))
+
+    @pytest.mark.parametrize("kind, sizes", [
+        ("random", dict(n=6, m=10)),
+        ("random", dict(n=5, m=None, p=1.0, allow_loops=False)),
+        ("random", dict(n=4, m=None, p=1.0)),  # loops allowed
+        ("planted_bipartite", dict(n_left=2, n_right=5, m=None, p=1.0)),
+        ("planted_odd_cycle", dict(m=6)),
+        ("planted_odd_cycle", dict(n_left=2, n_right=3, m=None, p=1.0)),
+    ])
+    def test_edge_cap_boundary(self, kind, sizes, monkeypatch):
+        # each spec makes 10 edges at most, and 10 at p = 1
+        spec = GenSpec(kind=kind, **{**VALID[kind], **sizes})
+        monkeypatch.setattr(generators_module, "MAX_EDGES", 10)
+        assert generate(spec).m == 10
+        monkeypatch.setattr(generators_module, "MAX_EDGES", 9)
+        with pytest.raises(InputError, match=f"^{kind} may make 10 edges, more than the limit of 9$"):
+            generate(spec)

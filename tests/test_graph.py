@@ -24,7 +24,7 @@ from bicert import (
 )
 import bicert.checkers as checkers_module
 import bicert.graph as graph_module
-from bicert.graph import MAX_VERTICES, bfs_path
+from bicert.graph import ID_TYPECODE, MAX_EDGES, MAX_VERTICES, bfs_path
 from conftest import adjacency, four_cycle, graphs, triangle
 
 
@@ -129,10 +129,11 @@ def per_pair_build(n, pairs):
     """What the per-pair build makes of ``pairs``: the graph's parts or the error's message.
 
     The reference for the flat build: each pair's ids are appended to one
-    array, an error naming its edge, and the range is checked at the end,
-    or on an id past a 64-bit slot, on the edges before it.
+    array of the graph's typecode, an error naming its edge, and the range
+    is checked at the end, or on an id past one of its 4-byte slots, on the
+    edges before it.
     """
-    ends = array("q")
+    ends = array(ID_TYPECODE)
 
     def out_of_range():
         it = iter(ends)
@@ -163,7 +164,7 @@ def built(n, pairs):
     return g.n, list(g.ends), g.first_loop
 
 
-_ID = st.one_of(st.integers(0, 5), st.sampled_from([-1, 2**63, -(2**70)]))
+_ID = st.one_of(st.integers(0, 5), st.sampled_from([-1, 2**31, 2**63, -(2**70)]))
 _ITEM = st.one_of(
     st.tuples(st.integers(0, 5), st.integers(0, 5)),
     st.tuples(_ID, _ID),
@@ -195,6 +196,53 @@ class TestFlatBuild:
     def test_refused_run_is_named(self, run):
         with pytest.raises(InputError, match=r"^run 1 is not an even count of ints in 0\.\.2$"):
             build_graph(3, [[0, 1], run], flat=True)
+
+
+class TestEdgeCap:
+    """No graph holds more than ``MAX_EDGES`` edges, so each slot fits its 4 bytes."""
+
+    def test_every_slot_and_its_parent_mark_fit_four_bytes(self):
+        assert array(ID_TYPECODE).itemsize == 4
+        last = 2 * (MAX_EDGES - 1) + 1  # the slot 2e + 1 of the last edge
+        assert last < 2**31 and -2 - last >= -(2**31)  # and _region_bfs's mark of it
+        assert MAX_VERTICES < 2**31
+
+    @pytest.mark.parametrize("extra, message", [
+        ([(0, 1)], "edge count exceeds the limit of 3"),
+        ([(0, 5)], "edge count exceeds the limit of 3"),  # past the cap before the range
+        ([None], "edge count exceeds the limit of 3"),
+        ([], None),
+    ], ids=["pair", "out-of-range", "non-pair", "none"])
+    @pytest.mark.parametrize("run_pairs", [1, 2, 3, 1 << 14])
+    def test_an_edge_past_the_cap_is_refused(self, extra, message, run_pairs, monkeypatch):
+        # every chunking of the pairs gives the same answer
+        monkeypatch.setattr(graph_module, "MAX_EDGES", 3)
+        monkeypatch.setattr(graph_module, "_RUN_PAIRS", run_pairs)
+        pairs = [(1, 0), (0, 1), (1, 1)] + extra
+        if message is None:
+            g = build_graph(2, iter(pairs))
+            assert g.pairs == pairs and g.first_loop == 2
+        else:
+            with pytest.raises(InputError, match=f"^{message}$"):
+                build_graph(2, iter(pairs))
+
+    @pytest.mark.parametrize("runs", [[[1, 0, 0, 1], [1, 1, 0, 1]], [[1, 0, 0, 1, 1, 1, 0, 1]],
+                                      [[1, 0, 0, 1, 1, 1], [], [0, 1]]])
+    def test_flat_runs_past_the_cap_are_refused(self, runs, monkeypatch):
+        monkeypatch.setattr(graph_module, "MAX_EDGES", 3)
+        with pytest.raises(InputError, match="^edge count exceeds the limit of 3$"):
+            build_graph(2, runs, flat=True)
+        assert build_graph(2, [[1, 0, 0, 1, 1, 1]], flat=True).m == 3
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 5), (0, 1), (0, 1)], r"edge 0 endpoint pair \(0, 5\) out of range for n=2"),
+        ([(0, 1), None, (0, 1)], r"edge 1 is not a pair of integers: None"),
+        ([(0, 1), (0, 2**31), (0, 1)], r"edge 1 endpoint pair \(0, 2147483648\) out of range"),
+    ], ids=["out-of-range", "non-pair", "past-a-slot"])
+    def test_a_bad_edge_within_the_cap_is_named(self, pairs, message, monkeypatch):
+        monkeypatch.setattr(graph_module, "MAX_EDGES", 3)
+        with pytest.raises(InputError, match=f"^{message}"):
+            build_graph(2, pairs)
 
 
 class TestCsr:
