@@ -26,9 +26,10 @@ before any checker runs, so no walk meets a loop.  ``check`` dispatches by
 name and re-verifies the result before returning it.  Certificate
 extraction searches only the region it needs: growth, flip and dsu find
 their even path with ``bfs_path``, a masked search over the adjacency
-(building it if nothing has yet) that visits the vertices on shortest paths
-between the path's ends and a ball around each end; forest walks tree
-parents.
+(building it if nothing has yet) that grows a ball around each end of the
+path until the two touch, then runs one BFS from the first end over its
+ball and the vertices on shortest paths between the ends; forest walks
+tree parents.
 
 Per-vertex state is flat: bytearrays for flags and sides, arrays of 4-byte
 items (typecode ``graph.ID_TYPECODE``) for ids, parent slots and counts.

@@ -29,7 +29,7 @@ from .certificates import Bipartition, CheckOutcome, OddCycle, verify_outcome
 from .checkers import ALGORITHM_NAMES, run_instrumented, run_verified
 from .errors import InputError, InternalInvariantError, ParseError
 from .formats import dot_runs, parse_dimacs, parse_edge_list, write_dimacs, write_edge_list
-from .generators import KIND_NAMES, GenSpec, generate
+from .generators import KIND_NAMES, GenSpec, check_spec, generate
 from .graph import ID_TYPECODE, Graph, link_slots
 
 EXIT_BIPARTITE = 0
@@ -471,21 +471,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
             writer.writerows(rows)
         return code
 
-    for kind_flag in args.kinds:
-        kind = _KIND_FLAGS[kind_flag]
-        for n, m in sizes:
-            for seed in args.seeds:
-                g = generate(_bench_spec(kind, n, m, seed, args.cycle_len))
-                for rep in range(args.repeat):
-                    try:
-                        runs = _certified_runs(g, ALGORITHM_NAMES)
-                    except InternalInvariantError as exc:
-                        print(f"internal error: {exc} on kind={kind}"
-                              f" n={g.n} m={g.m} seed={seed}", file=sys.stderr)
-                        return emit_and_exit(EXIT_INTERNAL)
-                    for algorithm, (outcome, ops, elapsed) in zip(ALGORITHM_NAMES, runs):
-                        rows.append((algorithm, kind, g.n, g.m, seed,
-                                     rep, outcome.branch, elapsed, ops))
+    # every cell is checked before the first is built, so a bad one costs no run
+    cells = [(kind, seed, _bench_spec(kind, n, m, seed, args.cycle_len))
+             for kind in map(_KIND_FLAGS.get, args.kinds)
+             for n, m in sizes for seed in args.seeds]
+    for _, _, spec in cells:
+        check_spec(spec)
+    for kind, seed, spec in cells:
+        g = generate(spec)
+        for rep in range(args.repeat):
+            try:
+                runs = _certified_runs(g, ALGORITHM_NAMES)
+            except InternalInvariantError as exc:
+                print(f"internal error: {exc} on kind={kind}"
+                      f" n={g.n} m={g.m} seed={seed}", file=sys.stderr)
+                return emit_and_exit(EXIT_INTERNAL)
+            for algorithm, (outcome, ops, elapsed) in zip(ALGORITHM_NAMES, runs):
+                rows.append((algorithm, kind, g.n, g.m, seed,
+                             rep, outcome.branch, elapsed, ops))
     return emit_and_exit(EXIT_BIPARTITE)
 
 

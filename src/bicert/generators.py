@@ -82,8 +82,6 @@ def _random(spec: GenSpec, rng: SplitMix64) -> Graph:
     are drawn until ``m`` survive the loop/duplicate rules.
     """
     n = spec.n
-    _require((spec.m is None) != (spec.p is None),
-             "random kind requires exactly one of m, p")
     pairs: list[tuple[int, int]] = []
     if spec.p is not None:
         for u in range(n):
@@ -93,13 +91,6 @@ def _random(spec: GenSpec, rng: SplitMix64) -> Graph:
                     pairs.append((u, v))
         return build_graph(n, pairs)
     m = spec.m
-    if m > 0:
-        _require(n >= 1 if spec.allow_loops else n >= 2,
-                 f"no legal edges exist for n={n} with these flags")
-    if not spec.allow_multi:
-        capacity = _distinct_pairs(n, spec.allow_loops)
-        _require(m <= capacity,
-                 f"m={m} exceeds the {capacity} distinct pairs available")
     seen: set[tuple[int, int]] = set()
     while len(pairs) < m:
         u = rng.below(n)
@@ -121,8 +112,6 @@ def _planted_bipartite(spec: GenSpec, rng: SplitMix64) -> Graph:
     ``p`` enumerates cross pairs in ascending order; ``m`` samples cross
     pairs with replacement, so parallel edges can occur.
     """
-    _require((spec.m is None) != (spec.p is None),
-             "planted_bipartite requires exactly one of m, p")
     return build_graph(spec.n_left + spec.n_right, _planted_pairs(rng, spec))
 
 
@@ -135,9 +124,6 @@ def _planted_pairs(rng: SplitMix64, spec: GenSpec) -> list[tuple[int, int]]:
                 if rng.random() < spec.p:
                     pairs.append((u, v))
         return pairs
-    if spec.m:
-        _require(left > 0 and right > 0,
-                 "cross edges need both sides non-empty")
     for _ in range(spec.m or 0):
         pairs.append((rng.below(left), left + rng.below(right)))
     return pairs
@@ -152,8 +138,6 @@ def _planted_odd_cycle(spec: GenSpec, rng: SplitMix64) -> Graph:
     the base; omitting both means an edgeless base.
     """
     cycle_len = spec.cycle_len
-    _require(cycle_len >= 3 and cycle_len % 2 == 1,
-             f"cycle_len must be an odd integer >= 3, got {cycle_len}")
     base_n = spec.n_left + spec.n_right
     pairs = _planted_pairs(rng, spec)
     first = base_n
@@ -195,9 +179,19 @@ KIND_NAMES = tuple(_KINDS)
 
 
 def generate(spec: GenSpec) -> Graph:
-    """Validate ``spec`` against its kind's row of ``_KINDS``, then build it."""
+    """Check ``spec`` with ``check_spec``, then build it."""
+    check_spec(spec)
+    return _KINDS[spec.kind][0](spec, SplitMix64(spec.seed))
+
+
+def check_spec(spec: GenSpec) -> None:
+    """Raise InputError unless ``generate`` can build ``spec``; build nothing.
+
+    The fields are checked against the kind's row of ``_KINDS``, then the
+    sizes against the limits, then what the kind needs of them.
+    """
     try:
-        build, required, optional = _KINDS[spec.kind]
+        _, required, optional = _KINDS[spec.kind]
     except KeyError:
         raise InputError(
             f"unknown kind {spec.kind!r}; expected one of {KIND_NAMES}"
@@ -224,13 +218,35 @@ def generate(spec: GenSpec) -> Graph:
     most = _most_edges(spec)
     _require(most <= MAX_EDGES,
              f"{spec.kind} may make {most} edges, more than the limit of {MAX_EDGES}")
-    return build(spec, SplitMix64(spec.seed))
+    if spec.kind == "random":
+        _require((spec.m is None) != (spec.p is None),
+                 "random kind requires exactly one of m, p")
+        if spec.m is not None:
+            n = spec.n
+            if spec.m > 0:
+                _require(n >= 1 if spec.allow_loops else n >= 2,
+                         f"no legal edges exist for n={n} with these flags")
+            if not spec.allow_multi:
+                capacity = _distinct_pairs(n, spec.allow_loops)
+                _require(spec.m <= capacity,
+                         f"m={spec.m} exceeds the {capacity} distinct pairs available")
+        return
+    if spec.kind == "planted_bipartite":
+        _require((spec.m is None) != (spec.p is None),
+                 "planted_bipartite requires exactly one of m, p")
+    elif spec.kind == "planted_odd_cycle":
+        cycle_len = spec.cycle_len
+        _require(cycle_len >= 3 and cycle_len % 2 == 1,
+                 f"cycle_len must be an odd integer >= 3, got {cycle_len}")
+    if spec.m:  # a planted kind's cross edges; a forest has no m
+        _require(spec.n_left > 0 and spec.n_right > 0,
+                 "cross edges need both sides non-empty")
 
 
 def _most_edges(spec: GenSpec) -> int:
     """The most edges ``spec`` can make: m, or every pair p enumerates, and a planted cycle's.
 
-    ``generate`` refuses a spec over ``MAX_EDGES`` before drawing any pair,
+    ``check_spec`` refuses a spec over ``MAX_EDGES`` before any pair is drawn,
     since the graph would refuse the edges only once they were drawn.
     """
     if spec.p is None:

@@ -361,52 +361,48 @@ def bfs_path(
     in edge-id order, so that the first allowed edge to reach a vertex is
     its smallest allowed one, and queues the vertices x reaches in
     ascending order: the ``(vertex, edge_id)`` order ``find_path``
-    promises.  That BFS runs over the region only, the vertices on some
-    shortest a..b path, and finds the same path: the neighbors one step
-    nearer ``a`` of a vertex in the region are in it too, so the order in
-    which the BFS takes the region's vertices, and the parent it gives
-    each, depend on the region alone.  The region is found by growing a
-    ball around each end until the two touch (Pohl's bidirectional
-    search), then descending from where they touched.  Apart from two
-    n-long arrays of 4-byte distances, one per end, the search visits only the
-    two balls and the region, so its cost follows them, not all that ``a``
-    reaches.
+    promises.  That BFS runs over a ball around ``a`` and the region, the
+    vertices on some shortest a..b path, only, and finds the same path:
+    the neighbors one step nearer ``a`` of a vertex in either are in one
+    of the two, so the order in which the BFS takes them, and the parent
+    it gives each, depend on them alone.  The balls are grown around each
+    end until the two touch (Pohl's bidirectional search), which gives
+    the distance d; the BFS then takes a vertex outside a's ball from its
+    level k only when b's ball holds it at d - k - 1, which puts it on a
+    shortest path.  Apart from two n-long arrays of 4-byte distances, one
+    per end, the search visits only the two balls and the region, so its
+    cost follows them, not all that ``a`` reaches.
     """
     if a == b:
         return Path([a], [])
     # each vertex's distance from a and from b, -1 where not known
     dists = array(ID_TYPECODE, [-1]) * g.n, array(ID_TYPECODE, [-1]) * g.n
     dists[0][a] = dists[1][b] = 0
-    meeting = _grow_balls(g, dists, a, b, vertex_ok, edge_ok)
-    if meeting is None:
+    d = _grow_balls(g, dists, a, b, vertex_ok, edge_ok)
+    if d is None:
         return None
-    d, meet = meeting
-    for near, far in dists, dists[::-1]:
-        _descend(g, near, far, d, meet, edge_ok)
     return _region_bfs(g, *dists, d, a, b, edge_ok)
 
 
-# The three steps of bfs_path are functions of their own: tracemalloc looks
+# The two steps of bfs_path are functions of their own: tracemalloc looks
 # up the line of each allocation from the start of its function's code, so
 # one long function made a traced search of a long cycle three times slower.
 
 def _grow_balls(g: Graph, dists: tuple[array, array], a: int, b: int,
                 vertex_ok: Sequence[int] | None,
-                edge_ok: Sequence[int] | None) -> tuple[int, list[int]] | None:
+                edge_ok: Sequence[int] | None) -> int | None:
     """Grow a ball around a and one around b until one touches the other.
 
     ``dists`` hold the distances from a and from b.  Each round adds one
     layer to the ball whose frontier, its last layer, is the smaller, a's
-    on a tie.  Returns ``(d, meet)``: the distance d from a to b, and the
-    vertices of the last layer that the other ball holds, which are the
-    region's vertices at that layer's distance.  Returns None when a ball
-    stops growing first.
+    on a tie.  Returns the distance d from a to b as soon as the layer
+    reaches a vertex the other ball holds, leaving that layer part grown,
+    or None when a ball stops growing first.
     """
     ends = g.ends
     head, nxt = g.adjacency()
     fronts = [[a], [b]]
-    meet: list[int] = []
-    while not meet:
+    while True:
         side = len(fronts[0]) > len(fronts[1])
         dist, other = dists[side], dists[not side]
         depth = dist[fronts[side][0]] + 1
@@ -417,74 +413,56 @@ def _grow_balls(g: Graph, dists: tuple[array, array], a: int, b: int,
                 y = ends[s ^ 1]
                 if (dist[y] == -1 and (edge_ok is None or edge_ok[s >> 1])
                         and (vertex_ok is None or vertex_ok[y])):
+                    if other[y] != -1:
+                        return depth + other[y]
                     dist[y] = depth
                     layer.append(y)
-                    if other[y] != -1:
-                        meet.append(y)
                 s = nxt[s]
         if not layer:
             return None
         fronts[side] = layer
-    return depth + other[meet[0]], meet
-
-
-def _descend(g: Graph, near: array, far: array, d: int, meet: list[int],
-             edge_ok: Sequence[int] | None) -> None:
-    """Give each region vertex from ``meet`` to the near end its ``far`` distance.
-
-    A vertex one step nearer that end than a region vertex is in the
-    region, so its ``far`` distance is d minus its ``near`` one.
-    """
-    ends = g.ends
-    head, nxt = g.adjacency()
-    stack = meet[:]
-    while stack:
-        y = stack.pop()
-        k = near[y] - 1
-        if k < 0:  # y is the near end
-            continue
-        s = head[y]
-        while s != -1:
-            x = ends[s ^ 1]
-            if near[x] == k and far[x] == -1 and (edge_ok is None or edge_ok[s >> 1]):
-                far[x] = d - k
-                stack.append(x)
-            s = nxt[s]
 
 
 def _region_bfs(g: Graph, from_a: array, from_b: array, d: int, a: int, b: int,
                 edge_ok: Sequence[int] | None) -> Path:
-    """The BFS from a over the region, whose level k is the vertices at
-    distance k from a and d - k from b.
+    """The BFS from a, level by level, over a's ball and the region.
 
+    At level k it takes a neighbor y over an allowed edge when a's ball
+    holds y at depth k + 1, or when y is outside it and b's ball holds y
+    at d - k - 1: y is then k + 1 from a, so on a shortest a..b path.
     It writes each reached vertex's parent slot, the slot of ``ends``
     holding its parent on the edge it was reached by, over its distance
-    from a, as ``-2 - slot``: below -1, it reads as no distance.
+    from a, as ``-2 - slot``: below -1, it reads as neither.
     """
     ends = g.ends
     head, nxt = g.adjacency()
-    queue = deque([a])
-    while True:  # b is in the region, so the queue reaches it
-        x = queue.popleft()
-        k = from_b[x] - 1
-        reached = []
-        s = head[x]
-        while s != -1:
-            y = ends[s ^ 1]
-            if from_b[y] == k and from_a[y] == d - k and (edge_ok is None or edge_ok[s >> 1]):
-                from_a[y] = -2 - s
-                if y == b:
-                    verts = [b]
-                    path_eids = []
-                    while y != a:
-                        s = -2 - from_a[y]
-                        path_eids.append(s >> 1)
-                        y = ends[s]
-                        verts.append(y)
-                    verts.reverse()
-                    path_eids.reverse()
-                    return Path(verts, path_eids)
-                reached.append(y)
-            s = nxt[s]
-        reached.sort()
-        queue.extend(reached)
+    level, depth = [a], 0
+    while True:  # b is d from a, so a level reaches it
+        depth += 1
+        rest = d - depth
+        next_level = []
+        for x in level:
+            reached = []
+            s = head[x]
+            while s != -1:
+                y = ends[s ^ 1]
+                near = from_a[y]
+                if ((near == depth or near == -1 and from_b[y] == rest)
+                        and (edge_ok is None or edge_ok[s >> 1])):
+                    from_a[y] = -2 - s
+                    if y == b:
+                        verts = [b]
+                        path_eids = []
+                        while y != a:
+                            s = -2 - from_a[y]
+                            path_eids.append(s >> 1)
+                            y = ends[s]
+                            verts.append(y)
+                        verts.reverse()
+                        path_eids.reverse()
+                        return Path(verts, path_eids)
+                    reached.append(y)
+                s = nxt[s]
+            reached.sort()
+            next_level += reached
+        level = next_level

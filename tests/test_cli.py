@@ -884,6 +884,22 @@ class TestBench:
         assert captured.err == (f"error: size {cell!r}: {name} must be"
                                 f" non-negative, got {value}\n")
 
+    @pytest.mark.parametrize("kind, cell, message", [
+        ("planted-bipartite", "4,10000000000",
+         f"planted_bipartite may make 10000000000 edges, more than the limit of {MAX_EDGES}"),
+        ("random", "4,7", "m=7 exceeds the 6 distinct pairs available"),
+    ], ids=["over-the-edge-cap", "over-the-distinct-pairs"])
+    def test_a_bad_cell_after_a_good_one_builds_nothing(self, kind, cell, message,
+                                                       capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "generate", lambda spec: built.append(spec) or generate(spec))
+        code = cli.main(["bench", "--kinds", kind, "--sizes", "100,200", cell, "--seeds", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert built == []
+
     @pytest.mark.parametrize("repeat", ["0", "-1"])
     def test_repeat_below_one_is_usage_error(self, repeat, capsys):
         code = cli.main(["bench", "--kinds", "random", "--sizes", "10,10",
@@ -1228,10 +1244,8 @@ class TestCertificateSearchMemory:
 
     Each checker's certificate holds the cycle's path of 100,000 vertices,
     so the region ``bfs_path`` searches is the whole graph.  Measured:
-    growth 185.9 B, flip 184.1 B, dsu 184.1 B, as much as a search that
-    keeps one table of parent slots and no distances.  The same search
-    with two dicts of distances in place of the two tables measured
-    331-356 B.
+    growth 165.4 B, flip 163.6 B, dsu 163.6 B.  The same search with two
+    dicts of distances in place of the two tables measured 331-356 B.
     """
 
     N = 100_001

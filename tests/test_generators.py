@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -237,6 +238,22 @@ FOREIGN = dict(n=4, n_left=2, n_right=2, m=2, p=0.5, cycle_len=3,
 class TestSpecValidation:
     def test_foreign_values_cover_every_field(self):
         assert set(FOREIGN) == {f.name for f in fields(GenSpec)} - {"kind", "seed"}
+
+    @pytest.mark.parametrize("kind, sizes, message", [
+        ("random", dict(m=None), "random kind requires exactly one of m, p"),
+        ("random", dict(n=1, allow_loops=False), "no legal edges exist for n=1 with these flags"),
+        ("random", dict(m=22, allow_multi=False), "m=22 exceeds the 21 distinct pairs available"),
+        ("planted_bipartite", dict(m=None), "planted_bipartite requires exactly one of m, p"),
+        ("planted_bipartite", dict(n_left=0), "cross edges need both sides non-empty"),
+        ("planted_odd_cycle", dict(cycle_len=4), "cycle_len must be an odd integer >= 3, got 4"),
+        ("planted_odd_cycle", dict(n_right=0), "cross edges need both sides non-empty"),
+    ])
+    def test_check_spec_refuses_before_any_draw(self, kind, sizes, message, monkeypatch):
+        spec = GenSpec(kind=kind, **{**VALID[kind], **sizes})
+        monkeypatch.setattr(generators_module, "SplitMix64", None)  # no stream can be made
+        for refuse in generators_module.check_spec, generate:
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                refuse(spec)
 
     @pytest.mark.parametrize("kind, name", [
         (kind, name) for kind in sorted(TAKES) for name in FOREIGN

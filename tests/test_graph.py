@@ -452,11 +452,28 @@ def random_multigraph(rng):
                            for _ in range(rng.randint(n // 2, 3 * n))])
 
 
+def cycle_with_pendants(rng):
+    """An odd cycle of 31 to 151 vertices with pendant trees hung on it and
+    up to three chords, ids shuffled and edges in shuffled order: a ball
+    around an end holds many tree vertices on no shortest path, and the
+    region between two cycle vertices is long and thin."""
+    c = rng.randrange(31, 152, 2)
+    n = c + rng.randint(c // 2, 2 * c)
+    label = rng.sample(range(n), n)
+    pairs = [(label[i], label[(i + 1) % c]) for i in range(c)]
+    pairs += [(label[rng.randrange(v)], label[v]) for v in range(c, n)]
+    pairs += [(label[i], label[j]) for i, j in
+              (rng.sample(range(c), 2) for _ in range(rng.randint(0, 3)))]
+    rng.shuffle(pairs)
+    return build_graph(n, pairs)
+
+
 class TestBfsPathDeep:
     """``bfs_path`` against the sorted scan on graphs where the two ends'
     balls meet past their second layer, or never meet."""
 
-    @pytest.mark.parametrize("family", [shuffled_grid, complete_bipartite, random_multigraph])
+    @pytest.mark.parametrize("family", [shuffled_grid, complete_bipartite, random_multigraph,
+                                        cycle_with_pendants])
     def test_matches_the_sorted_scan(self, family):
         lengths, missed = [], 0
         for seed in range(150):
@@ -482,7 +499,7 @@ class TestBfsPathDeep:
 
 
 class CountingMask:
-    """A vertex mask that counts how many times it is read."""
+    """A vertex or edge mask that counts how many times it is read."""
 
     def __init__(self, mask):
         self.mask = mask
@@ -515,3 +532,17 @@ class TestBfsPathSearchSize:
         assert bfs_path(g, a, b, vertex_ok=counted) == path
         assert path.length == 299
         assert counted.reads <= 3 * 301
+
+    def test_bare_cycle_reads_each_edge_twice(self):
+        # the two neighbours of vertex 0 on an odd cycle, 0 masked off: the
+        # region is the whole path between them, so the balls read each edge
+        # mask once and the BFS once more; a third walk would read it again
+        n = 1001
+        g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        vertex_ok = bytearray([1]) * n
+        vertex_ok[0] = 0
+        counted = CountingMask(bytearray([1]) * n)
+        path = bfs_path(g, 1, n - 1, vertex_ok=vertex_ok, edge_ok=counted)
+        assert path.vertices == list(range(1, n))
+        assert path.edge_ids == list(range(1, n - 1))
+        assert counted.reads <= 2 * n + 8
