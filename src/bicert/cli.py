@@ -188,20 +188,22 @@ def _two_halves(g: Graph, algorithms: tuple[str, ...]) -> list[_Run] | None:
     worker is also killed when this process dies by a signal (see
     ``_dies_with``).  bicert starts no threads, so the fork copies a
     process in a consistent state.  None, with nothing run, when no region
-    can be mapped or no process can be forked.
+    can be mapped, no pipe opened or no process forked.
     """
     parent = os.getpid()
     shared = _shared_slots(g)
     if shared is None:  # no memory to spare: the caller runs them all
         return None
-    read_end, write_end = os.pipe()
-    ready_read, ready_write = os.pipe()
+    fds: list[int] = []
     try:
+        fds += os.pipe()
+        fds += os.pipe()
         pid = os.fork()
-    except OSError:  # no process to spare (EAGAIN, ENOMEM): the caller runs them all
-        for fd in (read_end, write_end, ready_read, ready_write):
+    except OSError:  # no descriptor or process to spare: the caller runs them all
+        for fd in fds:
             os.close(fd)
         return None
+    read_end, write_end, ready_read, ready_write = fds
     if pid == 0:
         os.close(read_end)
         os.close(ready_write)  # else the parent's close is no end-of-file here

@@ -82,28 +82,27 @@ def _random(spec: GenSpec, rng: SplitMix64) -> Graph:
     are drawn until ``m`` survive the loop/duplicate rules.
     """
     n = spec.n
-    pairs: list[tuple[int, int]] = []
+    ids: list[int] = []
     if spec.p is not None:
         for u in range(n):
             start = u if spec.allow_loops else u + 1
             for v in range(start, n):
                 if rng.random() < spec.p:
-                    pairs.append((u, v))
-        return build_graph(n, pairs)
-    m = spec.m
-    seen: set[tuple[int, int]] = set()
-    while len(pairs) < m:
-        u = rng.below(n)
-        v = rng.below(n)
-        if u == v and not spec.allow_loops:
-            continue
-        if not spec.allow_multi:
-            key = (u, v) if u <= v else (v, u)
-            if key in seen:
+                    ids += u, v
+    else:
+        seen: set[tuple[int, int]] = set()
+        while len(ids) < 2 * spec.m:
+            u = rng.below(n)
+            v = rng.below(n)
+            if u == v and not spec.allow_loops:
                 continue
-            seen.add(key)
-        pairs.append((u, v))
-    return build_graph(n, pairs)
+            if not spec.allow_multi:
+                key = (u, v) if u <= v else (v, u)
+                if key in seen:
+                    continue
+                seen.add(key)
+            ids += u, v
+    return build_graph(n, [ids], flat=True)
 
 
 def _planted_bipartite(spec: GenSpec, rng: SplitMix64) -> Graph:
@@ -112,21 +111,22 @@ def _planted_bipartite(spec: GenSpec, rng: SplitMix64) -> Graph:
     ``p`` enumerates cross pairs in ascending order; ``m`` samples cross
     pairs with replacement, so parallel edges can occur.
     """
-    return build_graph(spec.n_left + spec.n_right, _planted_pairs(rng, spec))
+    return build_graph(spec.n_left + spec.n_right, [_planted_ids(rng, spec)], flat=True)
 
 
-def _planted_pairs(rng: SplitMix64, spec: GenSpec) -> list[tuple[int, int]]:
+def _planted_ids(rng: SplitMix64, spec: GenSpec) -> list[int]:
+    """The cross edges of a planted kind, as flat ids ``u, v, u, v, ...``."""
     left, right = spec.n_left, spec.n_right
-    pairs: list[tuple[int, int]] = []
+    ids: list[int] = []
     if spec.p is not None:
         for u in range(left):
             for v in range(left, left + right):
                 if rng.random() < spec.p:
-                    pairs.append((u, v))
-        return pairs
+                    ids += u, v
+        return ids
     for _ in range(spec.m or 0):
-        pairs.append((rng.below(left), left + rng.below(right)))
-    return pairs
+        ids += rng.below(left), left + rng.below(right)
+    return ids
 
 
 def _planted_odd_cycle(spec: GenSpec, rng: SplitMix64) -> Graph:
@@ -139,14 +139,14 @@ def _planted_odd_cycle(spec: GenSpec, rng: SplitMix64) -> Graph:
     """
     cycle_len = spec.cycle_len
     base_n = spec.n_left + spec.n_right
-    pairs = _planted_pairs(rng, spec)
+    ids = _planted_ids(rng, spec)
     first = base_n
     for i in range(cycle_len - 1):
-        pairs.append((first + i, first + i + 1))
-    pairs.append((first + cycle_len - 1, first))
+        ids += first + i, first + i + 1
+    ids += first + cycle_len - 1, first
     if base_n > 0:
-        pairs.append((rng.below(base_n), first))
-    return build_graph(base_n + cycle_len, pairs)
+        ids += rng.below(base_n), first
+    return build_graph(base_n + cycle_len, [ids], flat=True)
 
 
 def _forest(spec: GenSpec, rng: SplitMix64) -> Graph:
@@ -156,12 +156,12 @@ def _forest(spec: GenSpec, rng: SplitMix64) -> Graph:
     uniformly chosen earlier vertex.  Always acyclic; m < n whenever n > 0.
     """
     n = spec.n
-    pairs = []
+    ids: list[int] = []
     for v in range(1, n):
         if rng.random() < FOREST_ISOLATION_PROBABILITY:
             continue
-        pairs.append((rng.below(v), v))
-    return build_graph(n, pairs)
+        ids += rng.below(v), v
+    return build_graph(n, [ids], flat=True)
 
 
 # kind -> (builder, required fields, fields it may also set).  The required

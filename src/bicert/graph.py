@@ -17,7 +17,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice
+from itertools import compress, count, islice
 from operator import eq
 from typing import Callable, Iterable, Iterator, MutableSequence, NamedTuple, Sequence
 
@@ -32,9 +32,6 @@ MAX_EDGES = (1 << 30) - 1
 # the typecode of every array of vertex ids, slots and counts: a C int,
 # 4 bytes on every platform CPython supports
 ID_TYPECODE = "i"
-# pairs flattened into one run at a time: a run's list and its two halves
-# for the loop check stay under 1 MiB
-_RUN_PAIRS = 1 << 14
 # heads set to -1 per slice assignment when the adjacency is linked
 _HEAD_RUN = 1 << 12
 
@@ -51,7 +48,9 @@ class Graph:
     once at each endpoint, a loop twice, once per slot.
     Instances are treated as read-only values by every algorithm here; do not
     mutate ``ends`` or the adjacency.  ``first_loop`` is the id of the
-    first loop, or None when there is none.
+    first loop, or None when there is none.  ``__init__`` appends pairs one
+    by one, to name a bad edge; the readers and the generators build through
+    ``_from_runs``, which joins lists of flat ids, each checked whole.
     """
 
     __slots__ = ("n", "ends", "first_loop", "_adj", "_adj_source")
@@ -59,65 +58,20 @@ class Graph:
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         """The graph on ``n`` vertices whose edges are ``pairs``, in order.
 
-        The pairs are flattened ``_RUN_PAIRS`` at a time into runs for
-        ``_take``; from the first run it refuses on, they are appended one
-        by one, so that the error names the first bad edge.
+        The pairs are appended one by one, so that an InputError names the
+        first bad edge, or the limit at a pair past ``MAX_EDGES`` edges.
         """
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
         if n > MAX_VERTICES:
             raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         self.n = n
-        self.ends = array(ID_TYPECODE)
-        self.first_loop: int | None = None
+        self.ends = ends = array(ID_TYPECODE)
         self._adj: tuple[Sequence[int], Sequence[int]] | None = None
         self._adj_source: Callable[[], tuple | None] | None = None
-        it = iter(pairs)
-        while chunk := list(islice(it, _RUN_PAIRS)):
-            if not self._take(_flat(chunk)):
-                self._take_pairs(chain(chunk, it))
-                return
-
-    def _take(self, run: list | None) -> bool:
-        """Append ``run``, flat endpoint ids ``u, v, u, v, ...``, as edges.
-
-        A run that is None, of odd length, or holds anything but ints in
-        ``0..n-1`` is refused: ``ends`` stays as it was and False is
-        returned.  Every check is a C-level pass over the run, so an id
-        past a 4-byte slot is refused by its value, never by an
-        OverflowError.  A run that is not refused but would take the graph
-        past ``MAX_EDGES`` edges raises InputError, as ``_take_pairs`` does
-        on its pairs.
-        """
-        if run is None or len(run) & 1:
-            return False
-        if not run:
-            return True
-        ends = self.ends
-        try:
-            if min(run) < 0 or max(run) >= self.n:
-                return False
-            if len(ends) + len(run) > 2 * MAX_EDGES:
-                raise _too_many_edges()
-            first = len(ends) >> 1
-            ends.fromlist(run)
-        except TypeError:  # an item that is not an int
-            return False
-        if self.first_loop is None:
-            halves = run[0::2], run[1::2]
-            if any(map(eq, *halves)):
-                self.first_loop = first + list(map(eq, *halves)).index(True)
-        return True
-
-    def _take_pairs(self, pairs: Iterator) -> None:
-        """Append ``pairs`` one by one, raising InputError naming the first bad edge.
-
-        A pair past the first ``MAX_EDGES`` edges raises InputError too.
-        """
-        n, ends = self.n, self.ends
-        first = len(ends) >> 1
         append = ends.append
-        for eid, pair in enumerate(islice(pairs, MAX_EDGES - first), first):
+        it = iter(pairs)
+        for eid, pair in enumerate(islice(it, MAX_EDGES)):
             try:
                 u, v = pair  # a wrong length must not shift the edges after it
                 append(u)
@@ -128,23 +82,34 @@ class Graph:
                 del ends[2 * eid:]
                 _check_range(n, ends)
                 raise _out_of_range(n, eid, u, v) from None
-        for _ in pairs:  # a pair past the limit
+        for _ in it:  # a pair past the limit
             raise _too_many_edges()
         _check_range(n, ends)
-        if self.first_loop is None:
-            self.first_loop = next(compress(count(first), map(
-                eq, islice(ends, 2 * first, None, 2), islice(ends, 2 * first + 1, None, 2))), None)
+        self.first_loop = _first_loop(ends)
 
     @classmethod
     def _from_runs(cls, n: int, runs: Iterable[list]) -> Graph:
-        """The graph whose ``ends`` are ``runs``, lists of flat ids, joined.
+        """The graph whose ``ends`` are ``runs``, lists of flat ids ``u, v, ...``, joined.
 
-        A refused run (see ``_take``) raises InputError.
+        Each run is checked whole by C-level passes, so an id past a 4-byte
+        slot is refused by its value, not by an OverflowError.  InputError
+        names a run of odd length or with anything but ints in ``0..n-1``,
+        or the limit for one that takes the graph past ``MAX_EDGES`` edges.
         """
         g = cls(n, ())
+        ends = g.ends
         for i, run in enumerate(runs):
-            if not g._take(run):
-                raise InputError(f"run {i} is not an even count of ints in 0..{n - 1}")
+            try:
+                if len(run) & 1 or run and (min(run) < 0 or max(run) >= n):
+                    raise TypeError  # refused like an item that is not an int
+                if len(ends) + len(run) > 2 * MAX_EDGES:
+                    raise _too_many_edges()
+                ends.fromlist(run)
+            except TypeError:
+                raise InputError(f"run {i} is not an even count of ints in 0..{n - 1}") from None
+            it = iter(run)  # any() first: a pass that counts the edges too is slower
+            if g.first_loop is None and any(map(eq, it, it)):
+                g.first_loop = _first_loop(run, (len(ends) - len(run)) >> 1)
         return g
 
     @property
@@ -213,6 +178,12 @@ def _out_of_range(n: int, eid: int, u: int, v: int) -> InputError:
     return InputError(f"edge {eid} endpoint pair ({u}, {v}) out of range for n={n}")
 
 
+def _first_loop(ids: Sequence[int], first: int = 0) -> int | None:
+    """The first loop's id among edges ``first, ...``, flat ids ``ids``, or None; one C pass."""
+    it = iter(ids)
+    return next(compress(count(first), map(eq, it, it)), None)
+
+
 def _check_range(n: int, ends: array) -> None:
     """Raise for the first edge in ``ends`` with an endpoint outside ``0..n-1``."""
     if ends and (min(ends) < 0 or max(ends) >= n):
@@ -222,19 +193,6 @@ def _check_range(n: int, ends: array) -> None:
                 raise _out_of_range(n, eid, u, v)
 
 
-def _flat(pairs: list) -> list | None:
-    """``pairs`` flattened to ``u, v, u, v, ...``, or None unless each has two items."""
-    try:
-        if min(map(len, pairs)) == 2:
-            run = list(chain.from_iterable(pairs))
-            # none is shorter than two, so none is longer when they add up to two each
-            if len(run) == 2 * len(pairs):
-                return run
-    except TypeError:  # an item without a length
-        pass
-    return None
-
-
 def build_graph(n: int, pairs: Iterable, *, flat: bool = False) -> Graph:
     """Construct a graph on ``n`` vertices from endpoint pairs.
 
@@ -242,12 +200,13 @@ def build_graph(n: int, pairs: Iterable, *, flat: bool = False) -> Graph:
     offending edge when an item is not a pair of integers, or the first
     pair with an endpoint out of range.
 
-    ``flat`` is internal to the readers in ``formats.py``: ``pairs`` is then
-    an iterable of runs, lists of flat ids ``u, v, u, v, ...``, each checked
-    whole at C speed, and a refused run raises InputError naming the run,
-    not an edge.  The readers pass it here rather than to ``Graph._from_runs``
-    only so that ``perfbench/traced_check.py``, which wraps
-    ``formats.build_graph``, still times their build.
+    ``flat`` is internal to the readers in ``formats.py`` and to the
+    generators: ``pairs`` is then an iterable of runs, lists of flat ids
+    ``u, v, u, v, ...``, each checked whole at C speed, and a refused run
+    raises InputError naming the run, not an edge.  The readers pass it here
+    rather than to ``Graph._from_runs`` only so that
+    ``perfbench/traced_check.py``, which wraps ``formats.build_graph``,
+    still times their build.
     """
     return Graph._from_runs(n, pairs) if flat else Graph(n, pairs)
 
@@ -265,14 +224,14 @@ def simplify(g: Graph) -> SimplifyResult:
     edge ids; ``removed`` counts dropped duplicates.  Idempotent.
     """
     seen: set[tuple[int, int]] = set()
-    kept: list[tuple[int, int]] = []
+    ids: list[int] = []
     for u, v in g.edges():
         key = (u, v) if u <= v else (v, u)
         if key in seen:
             continue
         seen.add(key)
-        kept.append((u, v))
-    return SimplifyResult(Graph(g.n, kept), g.m - len(kept))
+        ids += u, v
+    return SimplifyResult(build_graph(g.n, [ids], flat=True), g.m - len(ids) // 2)
 
 
 @dataclass(frozen=True)

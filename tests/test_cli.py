@@ -600,11 +600,21 @@ class TestTwoProcesses:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="counts open descriptors in /proc/self/fd")
     @pytest.mark.parametrize("ending", ["forked", "fork-fails", "no-region", "half-raises",
-                                        "link-raises"])
+                                        "link-raises", "first-pipe-fails",
+                                        "second-pipe-fails"])
     def test_every_ending_closes_its_pipes_and_reaps(self, ending, big, monkeypatch):
         g = build_graph(big[0].n, big[0].edges())
         serial = [run_instrumented(big[0], name) for name in ALGORITHM_NAMES]
         run = cli.run_instrumented
+        pipe = os.pipe
+        pipes_left = {"first-pipe-fails": 0, "second-pipe-fails": 1}.get(ending)
+
+        def pipe_or_emfile():
+            nonlocal pipes_left
+            if pipes_left == 0:
+                raise OSError(24, "Too many open files")
+            pipes_left -= 1
+            return pipe()
 
         def dsu_broke(g, algorithm):
             if algorithm == "dsu":
@@ -621,6 +631,8 @@ class TestTwoProcesses:
             monkeypatch.setattr(cli, "link_slots", raising(RuntimeError("link broke")))
         elif ending == "half-raises":
             monkeypatch.setattr(cli, "run_instrumented", dsu_broke)
+        elif ending.endswith("pipe-fails"):
+            monkeypatch.setattr(os, "pipe", pipe_or_emfile)
         open_fds = len(os.listdir("/proc/self/fd"))
         if ending.endswith("raises"):
             with pytest.raises(RuntimeError, match=" broke"):

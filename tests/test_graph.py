@@ -6,7 +6,6 @@ import random
 import tracemalloc
 from array import array
 from collections import deque
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +22,7 @@ from bicert import (
     simplify,
 )
 import bicert.checkers as checkers_module
+import bicert.generators as generators_module
 import bicert.graph as graph_module
 from bicert.graph import ID_TYPECODE, MAX_EDGES, MAX_VERTICES, bfs_path
 from conftest import adjacency, four_cycle, graphs, triangle
@@ -174,15 +174,12 @@ _ITEM = st.one_of(
 
 
 class TestFlatBuild:
-    """Pairs flattened into runs build what the per-pair build did."""
+    """Pairs, and runs of flat ids, build what the per-pair build did."""
 
     @given(st.integers(0, 6), st.lists(st.one_of(
-        st.tuples(st.integers(0, 5), st.integers(0, 5)), _ITEM), max_size=12),
-        st.sampled_from([1, 2, 3, 1 << 14]), st.booleans())
-    def test_runs_of_pairs_build_what_the_per_pair_build_did(self, n, pairs, run_pairs,
-                                                               lazily):
-        with mock.patch.object(graph_module, "_RUN_PAIRS", run_pairs):
-            assert built(n, iter(pairs) if lazily else pairs) == per_pair_build(n, pairs)
+        st.tuples(st.integers(0, 5), st.integers(0, 5)), _ITEM), max_size=12), st.booleans())
+    def test_pairs_build_what_the_per_pair_build_did(self, n, pairs, lazily):
+        assert built(n, iter(pairs) if lazily else pairs) == per_pair_build(n, pairs)
 
     @given(graphs(), st.lists(st.integers(0, 20)))
     def test_flat_runs_build_the_graph_of_their_pairs(self, g, cuts):
@@ -196,6 +193,27 @@ class TestFlatBuild:
     def test_refused_run_is_named(self, run):
         with pytest.raises(InputError, match=r"^run 1 is not an even count of ints in 0\.\.2$"):
             build_graph(3, [[0, 1], run], flat=True)
+
+    def test_generators_and_simplify_build_flat(self, monkeypatch):
+        flats = []
+
+        def spy(n, pairs, *, flat=False):
+            flats.append(flat)
+            return build_graph(n, pairs, flat=flat)
+
+        monkeypatch.setattr(graph_module, "build_graph", spy)
+        monkeypatch.setattr(generators_module, "build_graph", spy)
+        specs = [
+            # 12 edges on 3 vertices, loops included, repeat one of the 6 pairs
+            GenSpec(kind="random", n=3, m=12, allow_loops=True, allow_multi=True, seed=1),
+            GenSpec(kind="random", n=6, p=0.5, seed=2),
+            GenSpec(kind="planted_bipartite", n_left=3, n_right=4, p=0.5, seed=3),
+            GenSpec(kind="planted_odd_cycle", n_left=2, n_right=3, m=6, cycle_len=5, seed=4),
+            GenSpec(kind="forest", n=9, seed=5),
+        ]
+        multigraph = [generate(spec) for spec in specs][0]
+        assert simplify(multigraph).removed > 0
+        assert flats == [True] * 6
 
 
 class TestEdgeCap:
@@ -213,18 +231,18 @@ class TestEdgeCap:
         ([None], "edge count exceeds the limit of 3"),
         ([], None),
     ], ids=["pair", "out-of-range", "non-pair", "none"])
-    @pytest.mark.parametrize("run_pairs", [1, 2, 3, 1 << 14])
-    def test_an_edge_past_the_cap_is_refused(self, extra, message, run_pairs, monkeypatch):
-        # every chunking of the pairs gives the same answer
+    @pytest.mark.parametrize("container", [list, tuple, iter, lambda pairs: (p for p in pairs)],
+                             ids=["list", "tuple", "iterator", "generator"])
+    def test_an_edge_past_the_cap_is_refused(self, extra, message, container, monkeypatch):
+        # whatever holds the pairs gives the same answer
         monkeypatch.setattr(graph_module, "MAX_EDGES", 3)
-        monkeypatch.setattr(graph_module, "_RUN_PAIRS", run_pairs)
         pairs = [(1, 0), (0, 1), (1, 1)] + extra
         if message is None:
-            g = build_graph(2, iter(pairs))
+            g = build_graph(2, container(pairs))
             assert g.pairs == pairs and g.first_loop == 2
         else:
             with pytest.raises(InputError, match=f"^{message}$"):
-                build_graph(2, iter(pairs))
+                build_graph(2, container(pairs))
 
     @pytest.mark.parametrize("runs", [[[1, 0, 0, 1], [1, 1, 0, 1]], [[1, 0, 0, 1, 1, 1, 0, 1]],
                                       [[1, 0, 0, 1, 1, 1], [], [0, 1]]])
