@@ -17,9 +17,9 @@ from .graph import ComponentLabeling, Graph, Path
 
 @dataclass(frozen=True)
 class Bipartition:
-    """Side assignment, one 0/1 entry per vertex."""
+    """Side assignment, one 0/1 byte per vertex."""
 
-    side: list[int]
+    side: bytes
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,12 @@ def flip_component(bp: Bipartition, component: Iterable[int]) -> Bipartition:
     Verification is preserved exactly when ``component`` is a union of whole
     connected components of the graph being certified.
     """
-    side = list(bp.side)
+    side = bytearray(bp.side)
     for v in component:
         if not (0 <= v < len(side)):
             raise InputError(f"vertex {v} outside the assignment")
         side[v] ^= 1
-    return Bipartition(side)
+    return Bipartition(bytes(side))
 
 
 def check_path_parity(bp: Bipartition, path: Path) -> bool:
@@ -161,6 +161,4 @@ def canonicalize_bipartition(
         if not seen[c]:
             seen[c] = True
             flip[c] = bp.side[v]
-    return Bipartition(
-        [s ^ flip[c] for s, c in zip(bp.side, labeling.component_of)]
-    )
+    return Bipartition(bytes(s ^ flip[c] for s, c in zip(bp.side, labeling.component_of)))

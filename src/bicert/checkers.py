@@ -36,8 +36,8 @@ items (typecode ``graph.ID_TYPECODE``) for ids, parent slots and counts.
 flip keeps each component as an array linked list (``next`` per vertex;
 ``tail`` and ``size`` per component id, which is the component's first
 member), so merging two components is an O(1) splice after the smaller one
-is walked.  The only per-vertex Python list a checker builds is the
-``Bipartition`` it returns.
+is walked.  Every checker returns its ``Bipartition`` as ``bytes``, one
+byte per vertex.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def _growth(g: Graph) -> tuple[CheckOutcome, int]:
     n = g.n
     ends = g.ends
     head, nxt = g.adjacency()
-    side = [0] * n
+    side = bytearray(n)
     member = bytearray(n)
     absorbed = 0
     for seed in range(n):
@@ -107,7 +107,7 @@ def _growth(g: Graph) -> tuple[CheckOutcome, int]:
             side[z] = 1 if first_zero is not None else 0
             member[z] = 1
             absorbed += 1
-    return CheckOutcome(bipartition=Bipartition(side)), absorbed
+    return CheckOutcome(bipartition=Bipartition(bytes(side))), absorbed
 
 
 def _incremental_flip(g: Graph) -> tuple[CheckOutcome, int]:
@@ -149,7 +149,7 @@ def _incremental_flip(g: Graph) -> tuple[CheckOutcome, int]:
         nxt[tail[big]] = small
         tail[big] = tail[small]
         size[big] += size[small]
-    return CheckOutcome(bipartition=Bipartition(list(side))), flips
+    return CheckOutcome(bipartition=Bipartition(bytes(side))), flips
 
 
 def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
@@ -197,10 +197,10 @@ def _dsu_parity(g: Graph) -> tuple[CheckOutcome, int]:
             rv = w
             w = parent[rv]
         side[v] = pv
-    return CheckOutcome(bipartition=Bipartition(list(side))), unions
+    return CheckOutcome(bipartition=Bipartition(bytes(side))), unions
 
 
-def _peel(deg: array, nbrs: array) -> list[int]:
+def _peel(deg: array, nbrs: array) -> bytearray:
     """Two-color a forest by peeling its smallest leaf.
 
     ``deg[v]`` is v's forest degree and ``nbrs[v]`` the XOR of its forest
@@ -210,8 +210,8 @@ def _peel(deg: array, nbrs: array) -> list[int]:
     next.  At degree 1 ``nbrs[v]`` is v's one surviving neighbor, and it
     keeps naming the neighbor v was peeled from.  Smallest-leaf order never
     removes a tree's max-id vertex while two or more of its vertices remain,
-    so that vertex is left over on side 0, and the coloring is rebuilt in
-    reverse removal order.  A degree left above 0 means a cycle.
+    so that vertex is left over on side 0; the coloring, a byte per vertex,
+    is rebuilt in reverse removal order.  A degree above 0 means a cycle.
     """
     order = array(ID_TYPECODE)
     for i in range(len(deg)):
@@ -227,7 +227,7 @@ def _peel(deg: array, nbrs: array) -> list[int]:
             v = w
     if any(deg):
         raise InternalInvariantError("BFS forest contains a cycle")
-    side = [0] * len(deg)
+    side = bytearray(len(deg))
     for v in reversed(order):
         side[v] = side[nbrs[v]] ^ 1
     return side
@@ -276,7 +276,7 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
         examined += 1
         if side[a] == side[b]:
             return CheckOutcome(odd_cycle=_tree_cycle(g.ends, up, a, b, eid)), examined
-    return CheckOutcome(bipartition=Bipartition(side)), examined
+    return CheckOutcome(bipartition=Bipartition(bytes(side))), examined
 
 
 def _tree_cycle(ends: array, up: array, a: int, b: int, eid: int) -> OddCycle:

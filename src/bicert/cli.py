@@ -101,9 +101,9 @@ def _dies_with(parent: int) -> bool:
 def _worker_half(g: Graph, names: tuple[str, ...], pipe: int, parent: int) -> None:
     """In the forked worker of ``parent``: run ``names`` and send the answer; never returns.
 
-    The answer is marshalled: per checker its side as bytes or its cycle's
-    two lists, its ops counter and its nanoseconds; or the message of an
-    InternalInvariantError; or the traceback of any other exception.
+    The answer is marshalled: per checker its side, the checker's bytes as
+    they are, or its cycle's two lists, its ops counter and nanoseconds; or
+    an InternalInvariantError's message; or any other exception's traceback.
     """
     try:
         if not _dies_with(parent):
@@ -111,7 +111,7 @@ def _worker_half(g: Graph, names: tuple[str, ...], pipe: int, parent: int) -> No
         try:
             runs = [_verified_run(g, name) for name in names]
             answer = marshal.dumps(("runs", [
-                (bytes(outcome.bipartition.side) if outcome.is_bipartite
+                (outcome.bipartition.side if outcome.is_bipartite
                  else (outcome.odd_cycle.vertices, outcome.odd_cycle.edge_ids), ops, elapsed)
                 for outcome, ops, elapsed in runs
             ]))
@@ -140,7 +140,7 @@ def _worker_runs(answer: bytes, status: int) -> list[_Run]:
         sys.stderr.write(body)
         raise InternalInvariantError("the checker worker raised " + body.splitlines()[-1])
     return [
-        (CheckOutcome(bipartition=Bipartition(list(certificate)))
+        (CheckOutcome(bipartition=Bipartition(certificate))
          if isinstance(certificate, bytes) else CheckOutcome(odd_cycle=OddCycle(*certificate)),
          ops, elapsed)
         for certificate, ops, elapsed in body
@@ -383,7 +383,7 @@ def _reader_may_leave():
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
+        text = Path(args.file).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.file} is not UTF-8 text: {exc}") from None
     g = _PARSERS[args.format](text)

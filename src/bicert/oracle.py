@@ -42,7 +42,7 @@ def brute_force_bipartite(g: Graph) -> Bipartition | None:
     if not valid[idx]:
         return None
     n = g.n
-    return Bipartition([(idx >> (n - 1 - i)) & 1 for i in range(n)])
+    return Bipartition(bytes((idx >> (n - 1 - i)) & 1 for i in range(n)))
 
 
 def count_proper_2colorings(g: Graph) -> int:

@@ -99,11 +99,11 @@ class TestFlipComponent:
         g = build_graph(4, [(0, 1), (2, 3)])
         bp = Bipartition([0, 1, 0, 1])
         flipped = flip_component(bp, [2, 3])
-        assert flipped.side == [0, 1, 1, 0]
+        assert flipped.side == bytes([0, 1, 1, 0])
         assert verify_bipartition(g, flipped)
 
     def test_involution(self):
-        bp = Bipartition([0, 1, 0, 1])
+        bp = Bipartition(bytes([0, 1, 0, 1]))
         assert flip_component(flip_component(bp, [0, 1]), [0, 1]) == bp
 
     def test_is_pure(self):
@@ -165,12 +165,12 @@ class TestCanonicalize:
         g = build_graph(4, [(0, 1), (2, 3)])
         lab = connected_components(g)
         canon = canonicalize_bipartition(lab, Bipartition([1, 0, 0, 1]))
-        assert canon.side == [0, 1, 0, 1]
+        assert canon.side == bytes([0, 1, 0, 1])
 
     def test_already_canonical_is_fixed_point(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         lab = connected_components(g)
-        bp = Bipartition([0, 1, 0, 1])
+        bp = Bipartition(bytes([0, 1, 0, 1]))
         assert canonicalize_bipartition(lab, bp) == bp
 
     def test_size_mismatch(self):

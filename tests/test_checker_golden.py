@@ -5,7 +5,9 @@ vertices, with parallel edges and (for some random graphs) loops.  Each
 line of ``golden/checker_outcomes.txt`` reads
 ``kind seed algorithm branch counter sha256``; the hash covers the
 certificate exactly as ``run_instrumented`` returns it (dsu's raw sides,
-each cycle's vertex and edge-id order) together with the counter.
+each cycle's vertex and edge-id order) together with the counter.  A side
+is hashed as the text of its list of ints (``[0, 1, ...]``), so that the
+hashes do not depend on how a ``Bipartition`` stores its side.
 
 Regenerate the file, after a change that is meant to alter an outcome,
 with ``PYTHONPATH=src python tests/test_checker_golden.py >
@@ -50,7 +52,7 @@ def outcome_lines(kind: str, seed: int) -> list[str]:
     for name in ALGORITHM_NAMES:
         outcome, counter = run_instrumented(g, name)
         if outcome.bipartition is not None:
-            text = f"{outcome.bipartition.side}"
+            text = f"{list(outcome.bipartition.side)}"
         else:
             text = f"{outcome.odd_cycle.vertices} {outcome.odd_cycle.edge_ids}"
         digest = hashlib.sha256(f"{text} {counter}".encode()).hexdigest()

@@ -74,11 +74,11 @@ def test_edge_streaming_readers_never_build_the_adjacency(make, read):
 class TestCommonBehavior:
     def test_empty_graph(self, name):
         out = check(build_graph(0, []), name)
-        assert out.is_bipartite and out.bipartition.side == []
+        assert out.is_bipartite and out.bipartition.side == bytes([])
 
     def test_single_vertex(self, name):
         out = check(build_graph(1, []), name)
-        assert out.bipartition.side == [0]
+        assert out.bipartition.side == bytes([0])
 
     def test_loop_certified_first(self, name):
         # edge order puts a loop after other edges; the pre-pass still wins
@@ -92,7 +92,7 @@ class TestCommonBehavior:
     def test_four_cycle_canonical_sides(self, name):
         out = check(four_cycle(), name)
         assert verify_bipartition(four_cycle(), out.bipartition)
-        assert canonical(four_cycle(), out).side == [0, 1, 0, 1]
+        assert canonical(four_cycle(), out).side == bytes([0, 1, 0, 1])
 
     def test_triangle_certificate_verifies(self, name):
         g = triangle()
@@ -130,7 +130,7 @@ class TestGrowth:
         assert out.odd_cycle.edge_ids == [0, 1, 2]
 
     def test_four_cycle_exact_sides(self):
-        assert check(four_cycle(), "growth").bipartition.side == [0, 1, 0, 1]
+        assert check(four_cycle(), "growth").bipartition.side == bytes([0, 1, 0, 1])
 
     def test_absorption_counter_counts_vertices(self):
         _, absorbed = run_instrumented(four_cycle(), "growth")
@@ -163,8 +163,8 @@ class TestIncrementalFlip:
         g = build_graph(4, [(0, 1), (2, 3), (1, 2)])
         out, flips = run_instrumented(g, "flip")
         assert verify_bipartition(g, out.bipartition)
-        assert out.bipartition.side == [1, 0, 1, 0]
-        assert canonical(g, out).side == [0, 1, 0, 1]
+        assert out.bipartition.side == bytes([1, 0, 1, 0])
+        assert canonical(g, out).side == bytes([0, 1, 0, 1])
         assert flips == 2
 
     def test_smaller_component_is_flipped(self):
@@ -172,7 +172,7 @@ class TestIncrementalFlip:
         g = build_graph(4, [(0, 1), (1, 2), (3, 0)])
         out, flips = run_instrumented(g, "flip")
         assert verify_bipartition(g, out.bipartition)
-        assert out.bipartition.side == [1, 0, 1, 0]
+        assert out.bipartition.side == bytes([1, 0, 1, 0])
 
     def test_even_closing_edge_accepted_without_flip(self):
         out, flips = run_instrumented(four_cycle(), "flip")
@@ -183,7 +183,7 @@ class TestIncrementalFlip:
 class TestDsuParity:
     def test_four_cycle_raw_sides(self):
         out = check(four_cycle(), "dsu")
-        assert out.bipartition.side == [0, 1, 0, 1]
+        assert out.bipartition.side == bytes([0, 1, 0, 1])
 
     def test_five_cycle_frozen_certificate(self):
         out, unions = run_instrumented(five_cycle(), "dsu")
@@ -254,7 +254,7 @@ def distance_parity_to_component_max(g):
 class TestLeafPeel:
     @given(bipartite_graphs_and_forests())
     def test_side_is_distance_parity_to_the_component_max(self, g):
-        assert peel(g).side == distance_parity_to_component_max(g)
+        assert peel(g).side == bytes(distance_parity_to_component_max(g))
 
     def test_cycle_left_after_the_scan_is_an_invariant_error(self):
         # a triangle's degrees and neighbor XORs: no vertex is ever a leaf
@@ -263,17 +263,17 @@ class TestLeafPeel:
 
     def test_path_forced_alternation(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        assert peel(g).side == [0, 1, 0]
+        assert peel(g).side == bytes([0, 1, 0])
 
     def test_star_up_to_canonicalization(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         bp = peel(g)
-        assert bp.side == [1, 0, 0, 0]
+        assert bp.side == bytes([1, 0, 0, 0])
         canon = canonicalize_bipartition(connected_components(g), bp)
-        assert canon.side == [0, 1, 1, 1]
+        assert canon.side == bytes([0, 1, 1, 1])
 
     def test_edgeless(self):
-        assert peel(build_graph(3, [])).side == [0, 0, 0]
+        assert peel(build_graph(3, [])).side == bytes([0, 0, 0])
 
     def test_coloring_verifies_on_forests(self):
         g = build_graph(7, [(0, 3), (3, 5), (1, 2), (5, 6)])
@@ -286,7 +286,7 @@ class TestLeafPeel:
         ([(2, 0), (2, 5), (2, 3), (2, 1), (2, 4)], [0, 0, 1, 0, 0, 0]),
     ], ids=["path", "star"])
     def test_last_peeled_vertex_gets_side_zero(self, pairs, side):
-        assert peel(build_graph(6, pairs)).side == side
+        assert peel(build_graph(6, pairs)).side == bytes(side)
 
 
 class TestForestRecolor:

@@ -17,6 +17,7 @@ import time
 import tracemalloc
 from array import array
 from contextlib import redirect_stdout
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -26,7 +27,17 @@ from hypothesis import strategies as st
 
 import bicert.cli as cli
 import bicert.graph
-from bicert import ALGORITHM_NAMES, Bipartition, CheckOutcome, OddCycle, build_graph
+from bicert import (
+    ALGORITHM_NAMES,
+    Bipartition,
+    CheckOutcome,
+    OddCycle,
+    brute_force_bipartite,
+    build_graph,
+    canonicalize_bipartition,
+    connected_components,
+    flip_component,
+)
 from bicert.checkers import run_instrumented
 from bicert.formats import parse_edge_list, write_edge_list
 from bicert.generators import GenSpec, generate
@@ -133,6 +144,22 @@ class TestCheckExitCodes:
         path.write_bytes(b"0 1\n\xff\xfe 2\n")
         assert cli.main(["check", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("edgelist", "n 5\n0 1\n1 2\n2 3\n3 0\n"),  # the writers' layout: the bulk read
+        ("edgelist", "# a square\n0 1\n1 2\n2 3\n3 0\n"),  # a comment: the line walk
+        ("dimacs", "p edge 3 3\ne 1 2\ne 2 3\ne 3 1\n"),
+    ], ids=["bulk", "walk", "dimacs"])
+    def test_byte_order_mark_is_skipped(self, fmt, text, tmp_path, capsys):
+        # as Windows editors and PowerShell write UTF-8
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        code = cli.main(["check", str(plain), "--format", fmt, "--json"])
+        out = capsys.readouterr().out
+        assert cli.main(["check", str(marked), "--format", fmt, "--json"]) == code
+        assert capsys.readouterr().out == out
+        assert code == (1 if fmt == "dimacs" else 0)
 
     def test_unexpected_exception_is_three(self, even_file, capsys, monkeypatch):
         def crash(g, algorithm):
@@ -415,6 +442,46 @@ def raising(exc):
     return raise_
 
 
+def forked_half(here: bool) -> list[Bipartition]:
+    """The bipartitions of one half of a forked run of all four checkers."""
+    g = generate(BIG["bipartite"])
+    runs = cli._certified_runs(g, ALGORITHM_NAMES)
+    return [outcome.bipartition for outcome, _, _ in runs[0 if here else 1::2]]
+
+
+def two_paths() -> bicert.graph.Graph:
+    return build_graph(5, [(0, 1), (1, 2), (3, 4)])
+
+
+def one_checker(name: str) -> list[Bipartition]:
+    return [run_instrumented(two_paths(), name)[0].bipartition]
+
+
+# every producer of a Bipartition, as a call that returns the ones it made
+BIPARTITION_PRODUCERS = {
+    **{name: partial(one_checker, name) for name in ALGORITHM_NAMES},
+    "forked-here": partial(forked_half, True),
+    "forked-worker": partial(forked_half, False),
+    "brute_force_bipartite": lambda: [brute_force_bipartite(two_paths())],
+    "flip_component": lambda: [flip_component(Bipartition([0, 1, 0, 0, 1]), [3, 4])],
+    "canonicalize_bipartition": lambda: [canonicalize_bipartition(
+        connected_components(two_paths()), Bipartition([1, 0, 1, 0, 1]))],
+}
+
+
+@pytest.mark.parametrize("producer", [
+    pytest.param(name, marks=pytest.mark.skipif(
+        name.startswith("forked") and not hasattr(os, "fork"), reason="no os.fork"))
+    for name in BIPARTITION_PRODUCERS
+])
+def test_every_side_is_bytes(producer, request):
+    # one byte per vertex from every producer: no list is built or rebuilt
+    forks = request.getfixturevalue("forks") if hasattr(os, "fork") else []
+    made = BIPARTITION_PRODUCERS[producer]()
+    assert made and all(type(bp.side) is bytes for bp in made)
+    assert len(forks) == producer.startswith("forked")
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 class TestTwoProcesses:
     """With at least ``_FORK_EDGES`` edges, flip and forest run in a forked worker."""
@@ -446,7 +513,7 @@ class TestTwoProcesses:
         ]
         for outcome, _, _ in runs:
             if outcome.is_bipartite:
-                assert type(outcome.bipartition.side) is list
+                assert type(outcome.bipartition.side) is bytes
         assert_no_child_left()
 
     @pytest.mark.parametrize("fault, message", [
@@ -1192,21 +1259,23 @@ class TestCheckMemory:
     byte is per-vertex state: the checkers' tables, the certificates and the
     report.  Measured with stdout on os.devnull, text and --json alike:
 
-    algo      per-vertex objects  flat tables, streamed report  4-byte ids
-    growth    123-131 B           19 B                          14.6 B
-    flip      153 B               42 B                          25.6 B
-    dsu       113-122 B           20 B                          15.4 B
-    forest    122-131 B           42 B                          25.2 B
-    all       170 B               66 B                          49.2 B
-    all, dot  —                   233 B                         49.2 B
+    algo      per-vertex objects  flat tables, streamed report  4-byte ids  bytes sides
+    growth    123-131 B           19 B                          14.6 B      8.2 B
+    flip      153 B               42 B                          25.6 B      18.6 B
+    dsu       113-122 B           20 B                          15.4 B      8.4 B
+    forest    122-131 B           42 B                          25.2 B      19.2 B
+    all       170 B               66 B                          49.2 B      23.6 B
+    all, dot  —                   233 B                         49.2 B      23.6 B
 
     The last row writes the first checker's certificate with ``--dot`` as
     well; the DOT took 233 B per vertex while it was built whole, and is
-    written in runs now.
+    written in runs now.  The last column holds each ``Bipartition.side``
+    as ``bytes``, one byte per vertex, where it held a list of 8-byte
+    pointers.
     """
 
     N = 200_000
-    BOUNDS = {"growth": 20, "flip": 32, "dsu": 20, "forest": 32, "all": 64}
+    BOUNDS = {"growth": 12, "flip": 24, "dsu": 12, "forest": 24, "all": 32}
 
     # the two writers share the run writer, so the singles write text and
     # all writes --json; the DOT rendering is the same with either

@@ -23,7 +23,7 @@ class TestBruteForce:
         assert bp is not None
         assert verify_bipartition(four_cycle(), bp)
         # masks 0..4 all clash on some edge; 0b0101 is the first survivor
-        assert bp.side == [0, 1, 0, 1]
+        assert bp.side == bytes([0, 1, 0, 1])
 
     def test_triangle_is_none(self):
         assert brute_force_bipartite(triangle()) is None
@@ -33,11 +33,11 @@ class TestBruteForce:
 
     def test_empty_graph(self):
         bp = brute_force_bipartite(build_graph(0, []))
-        assert bp is not None and bp.side == []
+        assert bp is not None and bp.side == bytes([])
 
     def test_isolated_vertices_all_side_zero(self):
         bp = brute_force_bipartite(build_graph(3, []))
-        assert bp.side == [0, 0, 0]
+        assert bp.side == bytes([0, 0, 0])
 
     def test_size_guard(self):
         with pytest.raises(InputError):
