@@ -60,46 +60,52 @@ class CheckOutcome:
 def verify_bipartition(g: Graph, bp: Bipartition) -> bool:
     """True iff ``bp`` is a total 0/1 assignment separating every edge.
 
-    A partial or non-binary assignment is an input error, not a False
-    (``verify_outcome`` reads it as False).  Loops can never be separated,
-    so any loop forces False.
+    A partial or non-binary assignment, or a side that is not a sequence,
+    is an input error, not a False (``verify_outcome`` reads it as False).
+    Loops can never be separated, so any loop forces False.
     """
     side = bp.side
-    if len(side) != g.n:
-        raise InputError(
-            f"assignment covers {len(side)} vertices, graph has {g.n}"
-        )
-    for s in side:
-        if s != 0 and s != 1:
-            raise InputError(f"side values must be 0 or 1, got {s!r}")
-    for u, v in g.edges():
-        if side[u] == side[v]:
-            return False
+    try:
+        if len(side) != g.n:
+            raise InputError(
+                f"assignment covers {len(side)} vertices, graph has {g.n}"
+            )
+        for s in side:
+            if s != 0 and s != 1:
+                raise InputError(f"side values must be 0 or 1, got {s!r}")
+        for u, v in g.edges():
+            if side[u] == side[v]:
+                return False
+    except TypeError:  # no len, no items or no indexing
+        raise InputError(f"assignment must be a sequence, got {type(side).__name__}") from None
     return True
 
 
 def verify_odd_cycle(g: Graph, cycle: OddCycle) -> bool:
     """True iff ``cycle`` is a genuine odd cycle of ``g``.
 
-    Malformed input returns False rather than raising: odd length >= 1,
-    distinct vertices, edge ids in range, and each claimed edge must join
-    the consecutive vertex pair it is assigned to (a loop for k == 1).
+    Malformed input returns False rather than raising: vertices and edge
+    ids that are not sequences, or a vertex that is not hashable, are
+    False, as are anything but an odd length >= 1, distinct vertices, edge
+    ids in range, and each claimed edge joining the consecutive vertex pair
+    it is assigned to (a loop for k == 1).
     """
     verts = cycle.vertices
-    k = len(verts)
-    if k == 0 or k % 2 == 0 or len(cycle.edge_ids) != k:
-        return False
-    if len(set(verts)) != k:
-        return False
-    m = g.m
-    ends = g.ends
-    for i, eid in enumerate(cycle.edge_ids):
-        if not isinstance(eid, int) or not (0 <= eid < m):
+    try:
+        k = len(verts)
+        if k == 0 or k % 2 == 0 or len(cycle.edge_ids) != k or len(set(verts)) != k:
             return False
-        a, b = verts[i], verts[(i + 1) % k]
-        u, v = ends[2 * eid], ends[2 * eid + 1]
-        if (u, v) != (a, b) and (u, v) != (b, a):
-            return False
+        m = g.m
+        ends = g.ends
+        for i, eid in enumerate(cycle.edge_ids):
+            if not isinstance(eid, int) or not (0 <= eid < m):
+                return False
+            a, b = verts[i], verts[(i + 1) % k]
+            u, v = ends[2 * eid], ends[2 * eid + 1]
+            if (u, v) != (a, b) and (u, v) != (b, a):
+                return False
+    except TypeError:  # no len, no indexing, or a vertex that is not hashable
+        return False
     return True
 
 
@@ -107,7 +113,8 @@ def verify_outcome(g: Graph, outcome: CheckOutcome) -> bool:
     """Run the matching verifier for whichever certificate is present.
 
     A certificate too malformed to verify (a partial or non-binary
-    assignment, or any malformed cycle) is False here, never an error.
+    assignment, a side that is not a sequence, or any malformed cycle) is
+    False here, never an error.
     """
     if outcome.bipartition is not None:
         try:

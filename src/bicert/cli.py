@@ -473,13 +473,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
             writer.writerows(rows)
         return code
 
-    # every cell is checked before the first is built, so a bad one costs no run
-    cells = [(kind, seed, _bench_spec(kind, n, m, seed, args.cycle_len))
+    # every cell is checked before the first is built, so a bad one costs no
+    # run; one whose spec an earlier cell has would emit its rows twice
+    cells = [(kind, n, m, seed, _bench_spec(kind, n, m, seed, args.cycle_len))
              for kind in map(_KIND_FLAGS.get, args.kinds)
              for n, m in sizes for seed in args.seeds]
-    for _, _, spec in cells:
+    specs = set()
+    for kind, n, m, seed, spec in cells:
         check_spec(spec)
-    for kind, seed, spec in cells:
+        if spec in specs:
+            raise InputError(f"cell kind={kind} n={n} m={m} seed={seed} builds the graph"
+                             " of an earlier cell (--repeat times a cell again)")
+        specs.add(spec)
+    for kind, _, _, seed, spec in cells:
         g = generate(spec)
         for rep in range(args.repeat):
             try:

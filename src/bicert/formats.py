@@ -267,18 +267,19 @@ def write_dot(g: Graph, outcome: CheckOutcome) -> str:
     outcome is re-verified first; one that fails is an input error.  An
     empty graph renders as a valid empty DOT body.
     """
+    if not verify_outcome(g, outcome):
+        raise InputError("outcome does not verify against this graph")
     return "".join(dot_runs(g, outcome))
 
 
 def dot_runs(g: Graph, outcome: CheckOutcome) -> Iterator[str]:
     """``write_dot(g, outcome)`` in pieces of up to ``_DOT_RUN`` lines each.
 
-    The outcome is verified before the first piece, and each piece is made
-    as it is asked for, so a writer that writes them one by one never holds
-    a line per vertex or edge.
+    It renders the outcome it is given, which the caller has verified
+    (``cli.cmd_check`` renders a run ``_certified_runs`` verified).  Each
+    piece is made as it is asked for, so a writer that writes them one by
+    one never holds a line per vertex or edge.
     """
-    if not verify_outcome(g, outcome):
-        raise InputError("outcome does not verify against this graph")
     if outcome.bipartition is not None:
         fills = [f' [style=filled, fillcolor="{color}"];\n' for color in _SIDE_COLORS]
         vertex_lines = (f"  {v}{fills[s]}" for v, s in enumerate(outcome.bipartition.side))

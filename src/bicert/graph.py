@@ -48,9 +48,10 @@ class Graph:
     once at each endpoint, a loop twice, once per slot.
     Instances are treated as read-only values by every algorithm here; do not
     mutate ``ends`` or the adjacency.  ``first_loop`` is the id of the
-    first loop, or None when there is none.  ``__init__`` appends pairs one
-    by one, to name a bad edge; the readers and the generators build through
-    ``_from_runs``, which joins lists of flat ids, each checked whole.
+    first loop, or None when there is none.  ``__init__`` takes pairs one
+    by one, checking each as it is appended, to name the first bad edge; the
+    readers and the generators build through ``_from_runs``, which joins
+    lists of flat ids, each checked whole.
     """
 
     __slots__ = ("n", "ends", "first_loop", "_adj", "_adj_source")
@@ -58,8 +59,10 @@ class Graph:
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         """The graph on ``n`` vertices whose edges are ``pairs``, in order.
 
-        The pairs are appended one by one, so that an InputError names the
-        first bad edge, or the limit at a pair past ``MAX_EDGES`` edges.
+        Each pair is appended, then range-checked, and a loop noted, in one
+        pass, so that an InputError names the first bad edge, or the limit at
+        a pair past ``MAX_EDGES`` edges.  Within an edge, an item that is not
+        a pair of integers is named before an id outside ``0..n-1``.
         """
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
@@ -69,6 +72,7 @@ class Graph:
         self.ends = ends = array(ID_TYPECODE)
         self._adj: tuple[Sequence[int], Sequence[int]] | None = None
         self._adj_source: Callable[[], tuple | None] | None = None
+        self.first_loop = None
         append = ends.append
         it = iter(pairs)
         for eid, pair in enumerate(islice(it, MAX_EDGES)):
@@ -79,13 +83,13 @@ class Graph:
             except (TypeError, ValueError):
                 raise InputError(f"edge {eid} is not a pair of integers: {pair!r}") from None
             except OverflowError:  # past a 4-byte slot, so past any n
-                del ends[2 * eid:]
-                _check_range(n, ends)
                 raise _out_of_range(n, eid, u, v) from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise _out_of_range(n, eid, *ends[-2:])  # as stored: True reads 1
+            if u == v and self.first_loop is None:
+                self.first_loop = eid
         for _ in it:  # a pair past the limit
             raise _too_many_edges()
-        _check_range(n, ends)
-        self.first_loop = _first_loop(ends)
 
     @classmethod
     def _from_runs(cls, n: int, runs: Iterable[list]) -> Graph:
@@ -178,27 +182,18 @@ def _out_of_range(n: int, eid: int, u: int, v: int) -> InputError:
     return InputError(f"edge {eid} endpoint pair ({u}, {v}) out of range for n={n}")
 
 
-def _first_loop(ids: Sequence[int], first: int = 0) -> int | None:
+def _first_loop(ids: Sequence[int], first: int) -> int | None:
     """The first loop's id among edges ``first, ...``, flat ids ``ids``, or None; one C pass."""
     it = iter(ids)
     return next(compress(count(first), map(eq, it, it)), None)
-
-
-def _check_range(n: int, ends: array) -> None:
-    """Raise for the first edge in ``ends`` with an endpoint outside ``0..n-1``."""
-    if ends and (min(ends) < 0 or max(ends) >= n):
-        it = iter(ends)
-        for eid, (u, v) in enumerate(zip(it, it)):
-            if not (0 <= u < n and 0 <= v < n):
-                raise _out_of_range(n, eid, u, v)
 
 
 def build_graph(n: int, pairs: Iterable, *, flat: bool = False) -> Graph:
     """Construct a graph on ``n`` vertices from endpoint pairs.
 
     Edge ids are assigned in input order.  Raises InputError naming the
-    offending edge when an item is not a pair of integers, or the first
-    pair with an endpoint out of range.
+    first bad edge: an item that is not a pair of integers, or a pair with
+    an endpoint out of range.
 
     ``flat`` is internal to the readers in ``formats.py`` and to the
     generators: ``pairs`` is then an iterable of runs, lists of flat ids

@@ -54,6 +54,22 @@ class TestVerifyOutcome:
         # verify_bipartition raises for these; the outcome verifier rejects them
         assert verify_outcome(triangle(), CheckOutcome(bipartition=Bipartition(side))) is False
 
+    def test_a_side_that_is_not_a_sequence_is_false(self):
+        # verify_bipartition raises InputError, which the outcome verifier reads as False
+        bp = Bipartition(None)
+        with pytest.raises(InputError, match="^assignment must be a sequence, got NoneType$"):
+            verify_bipartition(triangle(), bp)
+        assert verify_outcome(triangle(), CheckOutcome(bipartition=bp)) is False
+
+    @pytest.mark.parametrize("cycle", [
+        OddCycle([[0], [1], [2]], [0, 1, 2]),
+        OddCycle(None, [0, 1, 2]),
+        OddCycle([0, 1, 2], None),
+    ], ids=["unhashable-vertices", "no-vertices", "no-edge-ids"])
+    def test_a_cycle_that_is_not_sequences_of_ints_is_false(self, cycle):
+        assert verify_odd_cycle(triangle(), cycle) is False
+        assert verify_outcome(triangle(), CheckOutcome(odd_cycle=cycle)) is False
+
 
 class TestVerifyOddCycle:
     def test_triangle(self):

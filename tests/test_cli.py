@@ -26,6 +26,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bicert.cli as cli
+import bicert.formats
 import bicert.graph
 from bicert import (
     ALGORITHM_NAMES,
@@ -37,9 +38,10 @@ from bicert import (
     canonicalize_bipartition,
     connected_components,
     flip_component,
+    verify_outcome,
 )
 from bicert.checkers import run_instrumented
-from bicert.formats import parse_edge_list, write_edge_list
+from bicert.formats import parse_edge_list, write_dot, write_edge_list
 from bicert.generators import GenSpec, generate
 from bicert.graph import MAX_EDGES
 from conftest import graphs
@@ -257,6 +259,23 @@ class TestCheckOutput:
         text = target.read_text()
         assert text.startswith("graph certified {")
         assert "fillcolor" in text
+
+    def test_dot_verifies_each_certificate_once(self, even_file, tmp_path, monkeypatch, capsys):
+        # the four runs are verified once each, and the DOT renders the first as verified
+        calls = []
+
+        def counted(g, outcome):
+            calls.append(outcome)
+            return verify_outcome(g, outcome)
+
+        monkeypatch.setattr(cli, "verify_outcome", counted)
+        monkeypatch.setattr(bicert.formats, "verify_outcome", counted)
+        target = tmp_path / "out.dot"
+        assert cli.main(["check", even_file, "--dot", str(target)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 4
+        assert target.read_text() == write_dot(parse_edge_list(Path(even_file).read_text()),
+                                               calls[0])
 
     def test_dimacs_format_flag(self, tmp_path, capsys):
         path = tmp_path / "g.col"
@@ -977,6 +996,24 @@ class TestBench:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+        assert built == []
+
+    @pytest.mark.parametrize("kinds, sizes, seeds, m", [
+        (["forest"], ["6,5"], ["1", "1"], 5),
+        (["forest"], ["6,5", "6,5"], ["1"], 5),
+        (["forest", "forest"], ["6,5"], ["1"], 5),
+        (["forest"], ["6,5", "6,3"], ["1"], 3),  # forest ignores m: the same graph
+    ], ids=["seed", "size", "kind", "same-graph"])
+    def test_a_repeated_cell_builds_nothing(self, kinds, sizes, seeds, m, capsys, monkeypatch):
+        # its rows would repeat an earlier cell's keys; --repeat times a cell again
+        built = []
+        monkeypatch.setattr(cli, "generate", lambda spec: built.append(spec) or generate(spec))
+        code = cli.main(["bench", "--kinds", *kinds, "--sizes", *sizes, "--seeds", *seeds])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: cell kind=forest n=6 m={m} seed=1 builds the graph"
+                                " of an earlier cell (--repeat times a cell again)\n")
         assert built == []
 
     @pytest.mark.parametrize("repeat", ["0", "-1"])

@@ -126,22 +126,15 @@ class TestBuildGraph:
 
 
 def per_pair_build(n, pairs):
-    """What the per-pair build makes of ``pairs``: the graph's parts or the error's message.
+    """What the pair build makes of ``pairs``: the graph's parts or the error's message.
 
-    The reference for the flat build: each pair's ids are appended to one
-    array of the graph's typecode, an error naming its edge, and the range
-    is checked at the end, or on an id past one of its 4-byte slots, on the
-    edges before it.
+    The reference for ``build_graph(n, pairs)``, stated pair by pair: each
+    pair's ids are appended to one array of the graph's typecode, an item
+    that is not a pair of integers naming its edge, then the pair is
+    range-checked, an id past one of the 4-byte slots reading as out of
+    range.  So the first bad edge is the one named, whatever its fault.
     """
     ends = array(ID_TYPECODE)
-
-    def out_of_range():
-        it = iter(ends)
-        for eid, (u, v) in enumerate(zip(it, it)):
-            if not (0 <= u < n and 0 <= v < n):
-                return f"edge {eid} endpoint pair ({u}, {v}) out of range for n={n}"
-        return None
-
     for eid, pair in enumerate(pairs):
         try:
             u, v = pair
@@ -150,10 +143,11 @@ def per_pair_build(n, pairs):
         except (TypeError, ValueError):
             return f"edge {eid} is not a pair of integers: {pair!r}"
         except OverflowError:
-            del ends[2 * eid:]
-            return out_of_range() or f"edge {eid} endpoint pair ({u}, {v}) out of range for n={n}"
+            return f"edge {eid} endpoint pair ({u}, {v}) out of range for n={n}"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge {eid} endpoint pair ({u}, {v}) out of range for n={n}"
     loops = [eid for eid in range(len(ends) // 2) if ends[2 * eid] == ends[2 * eid + 1]]
-    return out_of_range() or (n, list(ends), loops[0] if loops else None)
+    return n, list(ends), loops[0] if loops else None
 
 
 def built(n, pairs):
@@ -256,7 +250,14 @@ class TestEdgeCap:
         ([(0, 5), (0, 1), (0, 1)], r"edge 0 endpoint pair \(0, 5\) out of range for n=2"),
         ([(0, 1), None, (0, 1)], r"edge 1 is not a pair of integers: None"),
         ([(0, 1), (0, 2**31), (0, 1)], r"edge 1 endpoint pair \(0, 2147483648\) out of range"),
-    ], ids=["out-of-range", "non-pair", "past-a-slot"])
+        # the first bad edge is named, whatever the fault of a later one
+        ([(0, 5), None], r"edge 0 endpoint pair \(0, 5\) out of range for n=2$"),
+        ([(0, 5), (0, 1, 2)], r"edge 0 endpoint pair \(0, 5\) out of range for n=2$"),
+        ([(0, 2**31), None], r"edge 0 endpoint pair \(0, 2147483648\) out of range for n=2$"),
+        # within an edge, a type fault is named before a range fault
+        ([(0.5, 5)], r"edge 0 is not a pair of integers: \(0\.5, 5\)$"),
+    ], ids=["out-of-range", "non-pair", "past-a-slot", "out-of-range-then-non-pair",
+            "out-of-range-then-triple", "past-a-slot-then-non-pair", "non-int-and-out-of-range"])
     def test_a_bad_edge_within_the_cap_is_named(self, pairs, message, monkeypatch):
         monkeypatch.setattr(graph_module, "MAX_EDGES", 3)
         with pytest.raises(InputError, match=f"^{message}"):
