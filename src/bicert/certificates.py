@@ -62,7 +62,9 @@ def verify_bipartition(g: Graph, bp: Bipartition) -> bool:
 
     A partial or non-binary assignment, or a side that is not a sequence,
     is an input error, not a False (``verify_outcome`` reads it as False).
-    Loops can never be separated, so any loop forces False.
+    A side value is the int 0 or 1 exactly: ``0.0``, ``True`` and any other
+    value that only compares equal to one is non-binary.  Loops can never
+    be separated, so any loop forces False.
     """
     side = bp.side
     try:
@@ -70,9 +72,15 @@ def verify_bipartition(g: Graph, bp: Bipartition) -> bool:
             raise InputError(
                 f"assignment covers {len(side)} vertices, graph has {g.n}"
             )
-        for s in side:
-            if s != 0 and s != 1:
-                raise InputError(f"side values must be 0 or 1, got {s!r}")
+        if isinstance(side, (bytes, bytearray)):
+            # every item is an int; what deleting 0s and 1s leaves is non-binary
+            stray = side.translate(None, b"\x00\x01")
+            if stray:
+                raise InputError(f"side values must be 0 or 1, got {stray[0]!r}")
+        else:
+            for s in side:
+                if type(s) is not int or (s != 0 and s != 1):
+                    raise InputError(f"side values must be 0 or 1, got {s!r}")
         for u, v in g.edges():
             if side[u] == side[v]:
                 return False
@@ -85,26 +93,32 @@ def verify_odd_cycle(g: Graph, cycle: OddCycle) -> bool:
     """True iff ``cycle`` is a genuine odd cycle of ``g``.
 
     Malformed input returns False rather than raising: vertices and edge
-    ids that are not sequences, or a vertex that is not hashable, are
-    False, as are anything but an odd length >= 1, distinct vertices, edge
-    ids in range, and each claimed edge joining the consecutive vertex pair
-    it is assigned to (a loop for k == 1).
+    ids that are not sequences of ints are False, as are anything but an
+    odd length >= 1, distinct vertices, edge ids in range, and each claimed
+    edge joining the consecutive vertex pair it is assigned to (a loop for
+    k == 1).  An id is an int exactly, as a checker makes it: ``1.0``,
+    ``True`` and other values that only compare equal to an int are False.
     """
     verts = cycle.vertices
+    eids = cycle.edge_ids
     try:
         k = len(verts)
-        if k == 0 or k % 2 == 0 or len(cycle.edge_ids) != k or len(set(verts)) != k:
+        if k == 0 or k % 2 == 0 or len(eids) != k:
+            return False
+        if set(map(type, verts)) != {int} or set(map(type, eids)) != {int}:
+            return False
+        if len(set(verts)) != k:
             return False
         m = g.m
         ends = g.ends
-        for i, eid in enumerate(cycle.edge_ids):
-            if not isinstance(eid, int) or not (0 <= eid < m):
+        for i, eid in enumerate(eids):
+            if not (0 <= eid < m):
                 return False
             a, b = verts[i], verts[(i + 1) % k]
             u, v = ends[2 * eid], ends[2 * eid + 1]
             if (u, v) != (a, b) and (u, v) != (b, a):
                 return False
-    except TypeError:  # no len, no indexing, or a vertex that is not hashable
+    except TypeError:  # no len, or no items
         return False
     return True
 

@@ -33,6 +33,10 @@ tree parents.
 
 Per-vertex state is flat: bytearrays for flags and sides, arrays of 4-byte
 items (typecode ``graph.ID_TYPECODE``) for ids, parent slots and counts.
+The BFS queues of growth and forest are such arrays too: each holds a
+component's vertices once, in the order they were queued, and the loop
+over it reads on to its end as the scans append.  growth's one state byte
+per vertex marks it queued, then grown on its side.
 flip keeps each component as an array linked list (``next`` per vertex;
 ``tail`` and ``size`` per component id, which is the component's first
 member), so merging two components is an O(1) splice after the smaller one
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import time
 from array import array
-from collections import deque
 from typing import Callable
 
 from .certificates import (
@@ -65,21 +68,27 @@ def _closed_by(g: Graph, kept: bytes | bytearray, a: int, b: int, eid: int) -> C
     return CheckOutcome(odd_cycle=OddCycle(path.vertices, path.edge_ids + [eid]))
 
 
+# growth keeps one state byte per vertex: 0 until it is queued, 1 while it
+# is queued, then 2 + its side once grown; these map a state to the side and
+# to whether the vertex is grown
+_GROWN_SIDE = bytes.maketrans(b"\x02\x03", b"\x00\x01")
+_GROWN = bytes.maketrans(b"\x01\x02\x03", b"\x00\x01\x01")
+
+
 def _growth(g: Graph) -> tuple[CheckOutcome, int]:
     n = g.n
     ends = g.ends
     head, nxt = g.adjacency()
-    side = bytearray(n)
-    member = bytearray(n)
+    state = bytearray(n)
+    # the FIFO queue: each vertex once, in the order it was queued; the loop
+    # over it also reads what its own scans append
+    order = array(ID_TYPECODE)
     absorbed = 0
     for seed in range(n):
-        if member[seed]:
+        if state[seed]:
             continue
-        queue = deque([seed])
-        while queue:
-            z = queue.popleft()
-            if member[z]:
-                continue
+        order.append(seed)
+        for z in order:
             # one scan: note z's first slots to a grown vertex on each side
             # and queue the rest; a clash returns before the queue is read
             first_zero: int | None = None
@@ -87,16 +96,19 @@ def _growth(g: Graph) -> tuple[CheckOutcome, int]:
             s = head[z]
             while s != -1:
                 y = ends[s ^ 1]
-                if not member[y]:
-                    queue.append(y)
-                elif side[y] == 0:
+                t = state[y]
+                if not t:
+                    state[y] = 1
+                    order.append(y)
+                elif t == 2:
                     if first_zero is None:
                         first_zero = s
-                elif first_one is None:
+                elif t == 3 and first_one is None:
                     first_one = s
                 s = nxt[s]
             if first_zero is not None and first_one is not None:
-                path = bfs_path(g, ends[first_zero ^ 1], ends[first_one ^ 1], vertex_ok=member)
+                path = bfs_path(g, ends[first_zero ^ 1], ends[first_one ^ 1],
+                                vertex_ok=state.translate(_GROWN))
                 if path is None:
                     raise InternalInvariantError("grown subgraph is not connected")
                 cyc_v = path.vertices + [z]
@@ -104,10 +116,10 @@ def _growth(g: Graph) -> tuple[CheckOutcome, int]:
                 return CheckOutcome(odd_cycle=OddCycle(cyc_v, cyc_e)), absorbed
             # the seed has no grown neighbor and takes side 0; every later
             # vertex was queued by a grown neighbor, so one side is set
-            side[z] = 1 if first_zero is not None else 0
-            member[z] = 1
+            state[z] = 3 if first_zero is not None else 2
             absorbed += 1
-    return CheckOutcome(bipartition=Bipartition(bytes(side))), absorbed
+        del order[:]
+    return CheckOutcome(bipartition=Bipartition(bytes(state.translate(_GROWN_SIDE)))), absorbed
 
 
 def _incremental_flip(g: Graph) -> tuple[CheckOutcome, int]:
@@ -243,13 +255,13 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
     up = array(ID_TYPECODE, [-1]) * n
     deg = array(ID_TYPECODE, [0]) * n  # forest degree
     nbrs = array(ID_TYPECODE, [0]) * n  # XOR of forest neighbors
+    order = array(ID_TYPECODE)  # the FIFO queue, as in growth
     for seed in range(n):
         if visited[seed]:
             continue
         visited[seed] = 1
-        queue = deque([seed])
-        while queue:
-            x = queue.popleft()
+        order.append(seed)
+        for x in order:
             kids = 0
             kids_xor = 0
             s = head[x]
@@ -263,11 +275,12 @@ def _forest_recolor(g: Graph) -> tuple[CheckOutcome, int]:
                     nbrs[y] = x
                     kids += 1
                     kids_xor ^= y
-                    queue.append(y)
+                    order.append(y)
                 s = nxt[s]
             if kids:
                 deg[x] += kids
                 nbrs[x] ^= kids_xor
+        del order[:]
     side = _peel(deg, nbrs)
     examined = 0
     for eid, (a, b) in enumerate(g.edges()):

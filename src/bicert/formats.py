@@ -37,6 +37,9 @@ _SEPARATOR = re.compile(r"[ \t]+")
 # the line walks hand their ids to the build in lists of this many: about
 # 40 KiB of ints beside the array that holds them all
 _WALK_RUN = 1 << 10
+# the writers format this many ids, the ends of half as many edges, with
+# one %: about 250 KiB of text per run at 10⁶ vertices
+_WRITE_RUN = 1 << 15
 
 
 def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -178,11 +181,16 @@ def _walk_edge_list(text: str) -> Graph:
     return build_graph(n, _runs(ids), flat=True)
 
 
+def _id_runs(g: Graph) -> Iterator[array]:
+    """``g.ends`` in slices of ``_WRITE_RUN`` ids."""
+    ends = g.ends
+    return (ends[i:i + _WRITE_RUN] for i in range(0, len(ends), _WRITE_RUN))
+
+
 def write_edge_list(g: Graph) -> str:
     """Serialize with an ``n`` header so isolated vertices round-trip."""
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return f"n {g.n}\n" + "".join(
+        "%d %d\n" * (len(run) >> 1) % tuple(run) for run in _id_runs(g))
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -254,9 +262,8 @@ def _walk_dimacs(text: str) -> Graph:
 
 
 def write_dimacs(g: Graph) -> str:
-    lines = [f"p edge {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return f"p edge {g.n} {g.m}\n" + "".join(
+        "e %d %d\n" * (len(run) >> 1) % tuple([x + 1 for x in run]) for run in _id_runs(g))
 
 
 def write_dot(g: Graph, outcome: CheckOutcome) -> str:

@@ -71,6 +71,42 @@ class TestVerifyOutcome:
         assert verify_outcome(triangle(), CheckOutcome(odd_cycle=cycle)) is False
 
 
+class TestExactIds:
+    """An id or a side value is an ``int`` exactly, as a checker makes it:
+    a float or a bool that compares equal to one is refused, and an int
+    past 2**31 is no vertex, edge id or side of a small graph."""
+
+    @pytest.mark.parametrize("side, named", [
+        ([0.0, 1.0], "0.0"), ([False, True], "False"), ([0, True], "True"),
+        ([0, 2**31], "2147483648"), (bytes([0, 2]), "2"), (bytearray([1, 255]), "255"),
+    ], ids=["floats", "bools", "a-bool", "past-2**31", "bytes", "bytearray"])
+    def test_a_side_value_that_is_not_the_int_0_or_1_is_refused(self, side, named):
+        g = build_graph(2, [(0, 1)])
+        with pytest.raises(InputError, match=f"^side values must be 0 or 1, got {named}$"):
+            verify_bipartition(g, Bipartition(side))
+        assert verify_outcome(g, CheckOutcome(bipartition=Bipartition(side))) is False
+
+    @pytest.mark.parametrize("side", [[0, 1], bytes([0, 1]), bytearray([1, 0])])
+    def test_int_sides_of_every_kind_verify(self, side):
+        g = build_graph(2, [(0, 1)])
+        assert verify_bipartition(g, Bipartition(side))
+        assert verify_outcome(g, CheckOutcome(bipartition=Bipartition(side)))
+
+    @pytest.mark.parametrize("cycle", [
+        OddCycle([0.0, 1.0, 2.0], [0, 1, 2]),
+        OddCycle([0, 1, 2], [0.0, 1.0, 2.0]),
+        OddCycle([False, True, 2], [0, 1, 2]),
+        OddCycle([0, 1, 2], [False, True, 2]),
+        OddCycle([0, 1, 2 + 2**31], [0, 1, 2]),
+        OddCycle([0, 1, 2], [0, 1, 2 + 2**31]),
+        OddCycle([0, 1, 2], [0, 1, 2 - 2**32]),
+    ], ids=["float-vertices", "float-edge-ids", "bool-vertices", "bool-edge-ids",
+            "vertex-past-2**31", "edge-id-past-2**31", "edge-id-below-0"])
+    def test_a_cycle_id_that_is_not_an_id_of_the_graph_is_false(self, cycle):
+        assert verify_odd_cycle(triangle(), cycle) is False
+        assert verify_outcome(triangle(), CheckOutcome(odd_cycle=cycle)) is False
+
+
 class TestVerifyOddCycle:
     def test_triangle(self):
         assert verify_odd_cycle(triangle(), OddCycle([0, 1, 2], [0, 1, 2]))

@@ -1336,6 +1336,24 @@ class TestCheckMemory:
         assert code == 0
         assert peak / self.N <= self.BOUNDS[algo]
 
+    def test_all_on_a_star(self, tmp_path, monkeypatch):
+        # 2×10⁵ leaves, so the checkers run in two processes and this one
+        # runs growth and dsu; growth's queue of a Python int per leaf made
+        # it 51.8 B per vertex, its 4-byte queue 21.3 B
+        leaves = 200_000
+        path = tmp_path / "star.txt"
+        path.write_text(f"n {leaves + 1}\n" + "".join(f"0 {leaf}\n" for leaf in range(1, leaves + 1)))
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            try:
+                code = cli.main(["check", str(path), "--algo", "all"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak / (leaves + 1) <= self.BOUNDS["all"]
+
     def test_forest_certificate_at_the_far_end_of_a_path(self, tmp_path, monkeypatch):
         # a 10⁵-vertex path closed into a triangle at its far end: forest's
         # fundamental cycle costs its own 3 edges, not the tree's depth (the
