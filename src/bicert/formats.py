@@ -34,9 +34,6 @@ _DIMACS_LAYOUT = (
 _CHUNK = 1 << 16
 # tokens on a line are separated by spaces and tabs, nothing else
 _SEPARATOR = re.compile(r"[ \t]+")
-# the line walks hand their ids to the build in lists of this many: about
-# 40 KiB of ints beside the array that holds them all
-_WALK_RUN = 1 << 10
 # the writers format this many ids, the ends of half as many edges, with
 # one %: about 250 KiB of text per run at 10⁶ vertices
 _WRITE_RUN = 1 << 15
@@ -66,11 +63,6 @@ def _too_many_edges(line_no: int) -> ParseError:
     return ParseError(f"edge count exceeds the limit of {MAX_EDGES}", line_no)
 
 
-def _runs(ids: array) -> Iterator[list[int]]:
-    """``ids`` in lists of ``_WALK_RUN``, as ``build_graph(..., flat=True)`` reads them."""
-    return (ids[i:i + _WALK_RUN].tolist() for i in range(0, len(ids), _WALK_RUN))
-
-
 def _edge_lines_start(text: str, layout: tuple[re.Pattern, re.Pattern]) -> int:
     """Where the edge lines begin if ``text`` is in ``layout``, else 0."""
     header, bad_break = layout
@@ -96,17 +88,19 @@ def _int_token(token: str, line_no: int, what: str) -> int:
     raise ParseError(f"{what} {token!r} is not an integer", line_no)
 
 
-def _bulk_runs(text: str, start: int, dimacs: bool) -> Iterator[list[int]]:
-    """The endpoint ids of the edge lines from ``text[start:]`` on, a chunk at a time.
+def _bulk_ids(text: str, start: int, dimacs: bool) -> array:
+    """The endpoint ids of the edge lines from ``text[start:]`` on, in one array.
 
     The lines must be in their writer's layout: ``u v`` or DIMACS's
     ``e u v`` with 1-based ids, which come out 0-based.  Each chunk's lines
-    become one JSON array for ``json.loads``, which raises ValueError on
-    what ``int()`` reads but JSON does not, such as a leading zero.  Ids
-    are not range-checked here.
+    become one JSON array for ``json.loads``, appended before the next is
+    decoded.  ValueError is raised on what ``int()`` reads but JSON does
+    not, such as a leading zero, or past ``MAX_EDGES`` edges before the
+    array grows; OverflowError on an id past 4 bytes.  Ids are not checked.
     """
     import json  # on the first bulk read, not with ``import bicert``
 
+    ends = array(ID_TYPECODE)
     begin = start
     while begin < len(text):
         end = text.find("\n", begin + _CHUNK) + 1 or len(text)
@@ -118,8 +112,11 @@ def _bulk_runs(text: str, start: int, dimacs: bool) -> Iterator[list[int]]:
         del lines
         if dimacs:
             ids = [i - 1 for i in ids]
-        yield ids
+        if len(ends) + len(ids) > 2 * MAX_EDGES:
+            raise ValueError  # the line walk names the line past the limit
+        ends.fromlist(ids)
         begin = end
+    return ends
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -135,9 +132,9 @@ def parse_edge_list(text: str) -> Graph:
     start = _edge_lines_start(text, _EDGE_LIST_LAYOUT)
     if start:
         try:
-            return build_graph(int(text[2:start - 1]), _bulk_runs(text, start, dimacs=False),
+            return build_graph(int(text[2:start - 1]), _bulk_ids(text, start, dimacs=False),
                                flat=True)
-        except ValueError:  # an id or count that JSON, int() or the build refuses
+        except (ValueError, OverflowError):  # an id or count JSON, int() or the build refuses
             pass
     # the line walk reads any other text and names the line of any error
     return _walk_edge_list(text)
@@ -178,7 +175,7 @@ def _walk_edge_list(text: str) -> Graph:
         ids.append(u)
         ids.append(v)
     n = declared if declared is not None else 1 + max(ids, default=-1)
-    return build_graph(n, _runs(ids), flat=True)
+    return build_graph(n, ids, flat=True)
 
 
 def _id_runs(g: Graph) -> Iterator[array]:
@@ -206,8 +203,8 @@ def parse_dimacs(text: str) -> Graph:
         try:
             n, m = map(int, text[7:start - 1].split(" "))
             if text.count("\n", start) == m:
-                return build_graph(n, _bulk_runs(text, start, dimacs=True), flat=True)
-        except ValueError:  # an id or count that JSON, int() or the build refuses
+                return build_graph(n, _bulk_ids(text, start, dimacs=True), flat=True)
+        except (ValueError, OverflowError):  # an id or count JSON, int() or the build refuses
             pass
     # the line walk reads any other text and names the line of any error
     return _walk_dimacs(text)
@@ -258,7 +255,7 @@ def _walk_dimacs(text: str) -> Graph:
         raise ParseError(
             f"problem line declared {declared_m} edges, found {len(ids) >> 1}"
         )
-    return build_graph(n, _runs(ids), flat=True)
+    return build_graph(n, ids, flat=True)
 
 
 def write_dimacs(g: Graph) -> str:

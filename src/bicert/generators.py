@@ -102,7 +102,7 @@ def _random(spec: GenSpec, rng: SplitMix64) -> Graph:
                     continue
                 seen.add(key)
             ids += u, v
-    return build_graph(n, [ids], flat=True)
+    return build_graph(n, ids, flat=True)
 
 
 def _planted_bipartite(spec: GenSpec, rng: SplitMix64) -> Graph:
@@ -111,7 +111,7 @@ def _planted_bipartite(spec: GenSpec, rng: SplitMix64) -> Graph:
     ``p`` enumerates cross pairs in ascending order; ``m`` samples cross
     pairs with replacement, so parallel edges can occur.
     """
-    return build_graph(spec.n_left + spec.n_right, [_planted_ids(rng, spec)], flat=True)
+    return build_graph(spec.n_left + spec.n_right, _planted_ids(rng, spec), flat=True)
 
 
 def _planted_ids(rng: SplitMix64, spec: GenSpec) -> list[int]:
@@ -146,7 +146,7 @@ def _planted_odd_cycle(spec: GenSpec, rng: SplitMix64) -> Graph:
     ids += first + cycle_len - 1, first
     if base_n > 0:
         ids += rng.below(base_n), first
-    return build_graph(base_n + cycle_len, [ids], flat=True)
+    return build_graph(base_n + cycle_len, ids, flat=True)
 
 
 def _forest(spec: GenSpec, rng: SplitMix64) -> Graph:
@@ -161,7 +161,7 @@ def _forest(spec: GenSpec, rng: SplitMix64) -> Graph:
         if rng.random() < FOREST_ISOLATION_PROBABILITY:
             continue
         ids += rng.below(v), v
-    return build_graph(n, [ids], flat=True)
+    return build_graph(n, ids, flat=True)
 
 
 # kind -> (builder, required fields, fields it may also set).  The required

@@ -15,7 +15,6 @@ every vertex id and every slot below 2**31, so 4 bytes hold them all.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import eq
@@ -49,9 +48,8 @@ class Graph:
     Instances are treated as read-only values by every algorithm here; do not
     mutate ``ends`` or the adjacency.  ``first_loop`` is the id of the
     first loop, or None when there is none.  ``__init__`` takes pairs one
-    by one, checking each as it is appended, to name the first bad edge; the
-    readers and the generators build through ``_from_runs``, which joins
-    lists of flat ids, each checked whole.
+    by one, checking each as it is appended, to name the first bad edge;
+    ``_from_ids`` takes one flat sequence of ids, checked whole.
     """
 
     __slots__ = ("n", "ends", "first_loop", "_adj", "_adj_source")
@@ -92,28 +90,27 @@ class Graph:
             raise _too_many_edges()
 
     @classmethod
-    def _from_runs(cls, n: int, runs: Iterable[list]) -> Graph:
-        """The graph whose ``ends`` are ``runs``, lists of flat ids ``u, v, ...``, joined.
+    def _from_ids(cls, n: int, ids: Sequence[int]) -> Graph:
+        """The graph whose ``ends`` are ``ids``, flat ``u, v, u, v, ...``.
 
-        Each run is checked whole by C-level passes, so an id past a 4-byte
-        slot is refused by its value, not by an OverflowError.  InputError
-        names a run of odd length or with anything but ints in ``0..n-1``,
-        or the limit for one that takes the graph past ``MAX_EDGES`` edges.
+        An ``array(ID_TYPECODE)`` is kept uncopied, a list converted once.
+        C-level ``min`` and ``max`` check the range, so an id past a 4-byte
+        slot is refused by its value.  InputError names the limit past
+        ``MAX_EDGES`` edges, or an odd count or anything but ints in ``0..n-1``.
         """
         g = cls(n, ())
-        ends = g.ends
-        for i, run in enumerate(runs):
-            try:
-                if len(run) & 1 or run and (min(run) < 0 or max(run) >= n):
-                    raise TypeError  # refused like an item that is not an int
-                if len(ends) + len(run) > 2 * MAX_EDGES:
-                    raise _too_many_edges()
-                ends.fromlist(run)
-            except TypeError:
-                raise InputError(f"run {i} is not an even count of ints in 0..{n - 1}") from None
-            it = iter(run)  # any() first: a pass that counts the edges too is slower
-            if g.first_loop is None and any(map(eq, it, it)):
-                g.first_loop = _first_loop(run, (len(ends) - len(run)) >> 1)
+        if len(ids) > 2 * MAX_EDGES:
+            raise _too_many_edges()
+        try:
+            if len(ids) & 1 or ids and (min(ids) < 0 or max(ids) >= n):
+                raise TypeError  # refused like an item that is not an int
+            kept = getattr(ids, "typecode", None) == ID_TYPECODE
+            g.ends = ids = ids if kept else array(ID_TYPECODE, ids)
+        except TypeError:
+            raise InputError(f"ids are not an even count of ints in 0..{n - 1}") from None
+        it = iter(ids)  # any() first: a pass that counts the edges too is slower
+        if any(map(eq, it, it)):
+            g.first_loop = _first_loop(ids)
         return g
 
     @property
@@ -182,10 +179,10 @@ def _out_of_range(n: int, eid: int, u: int, v: int) -> InputError:
     return InputError(f"edge {eid} endpoint pair ({u}, {v}) out of range for n={n}")
 
 
-def _first_loop(ids: Sequence[int], first: int) -> int | None:
-    """The first loop's id among edges ``first, ...``, flat ids ``ids``, or None; one C pass."""
+def _first_loop(ids: Sequence[int]) -> int | None:
+    """The first loop's id among the edges of flat ids ``ids``, or None; one C pass."""
     it = iter(ids)
-    return next(compress(count(first), map(eq, it, it)), None)
+    return next(compress(count(), map(eq, it, it)), None)
 
 
 def build_graph(n: int, pairs: Iterable, *, flat: bool = False) -> Graph:
@@ -195,15 +192,12 @@ def build_graph(n: int, pairs: Iterable, *, flat: bool = False) -> Graph:
     first bad edge: an item that is not a pair of integers, or a pair with
     an endpoint out of range.
 
-    ``flat`` is internal to the readers in ``formats.py`` and to the
-    generators: ``pairs`` is then an iterable of runs, lists of flat ids
-    ``u, v, u, v, ...``, each checked whole at C speed, and a refused run
-    raises InputError naming the run, not an edge.  The readers pass it here
-    rather than to ``Graph._from_runs`` only so that
-    ``perfbench/traced_check.py``, which wraps ``formats.build_graph``,
-    still times their build.
+    ``flat`` is internal to the readers, the generators and ``simplify``:
+    ``pairs`` is then flat ids ``u, v, u, v, ...`` for ``Graph._from_ids``.
+    The readers pass it here only so that ``perfbench/traced_check.py``,
+    which wraps ``formats.build_graph``, still times their build.
     """
-    return Graph._from_runs(n, pairs) if flat else Graph(n, pairs)
+    return Graph._from_ids(n, pairs) if flat else Graph(n, pairs)
 
 
 class SimplifyResult(NamedTuple):
@@ -222,11 +216,10 @@ def simplify(g: Graph) -> SimplifyResult:
     ids: list[int] = []
     for u, v in g.edges():
         key = (u, v) if u <= v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        ids += u, v
-    return SimplifyResult(build_graph(g.n, [ids], flat=True), g.m - len(ids) // 2)
+        if key not in seen:
+            seen.add(key)
+            ids += u, v
+    return SimplifyResult(build_graph(g.n, ids, flat=True), g.m - len(ids) // 2)
 
 
 @dataclass(frozen=True)
@@ -248,20 +241,22 @@ def connected_components(g: Graph) -> ComponentLabeling:
     label = [-1] * g.n
     ends = g.ends
     head, nxt = g.adjacency()
+    queue = array(ID_TYPECODE)  # one component's vertices, read on as they are appended
     k = 0
     for seed in range(g.n):
         if label[seed] != -1:
             continue
         label[seed] = k
-        queue = deque([seed])
-        while queue:
-            s = head[queue.popleft()]
+        queue.append(seed)
+        for x in queue:
+            s = head[x]
             while s != -1:
                 y = ends[s ^ 1]
                 if label[y] == -1:
                     label[y] = k
                     queue.append(y)
                 s = nxt[s]
+        del queue[:]
         k += 1
     return ComponentLabeling(label, k)
 

@@ -141,6 +141,21 @@ class TestCheckExitCodes:
         assert cli.main(["check", str(path), "--format", fmt]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("fmt, text, message", [
+        ("edgelist", "n 5\n0 2147483648\n",
+         "line 2: vertex id exceeds declared count 5: 0 2147483648"),
+        ("dimacs", "p edge 5 1\ne 1 2147483649\n",
+         "line 2: vertex ids must lie in [1, 5]: 1 2147483649"),
+    ], ids=["edgelist", "dimacs"])
+    def test_id_past_a_4_byte_slot_in_the_writer_layout_is_two(self, fmt, text, message,
+                                                               tmp_path, capsys):
+        # the bulk read's array refuses 2**31 with an OverflowError, which
+        # sends the file to the line walk, and the walk names the line
+        path = tmp_path / "wide.txt"
+        path.write_text(text)
+        assert cli.main(["check", str(path), "--format", fmt]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_non_utf8_file_is_two(self, tmp_path, capsys):
         path = tmp_path / "bytes.txt"
         path.write_bytes(b"0 1\n\xff\xfe 2\n")
