@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import json
 import marshal
 import os
@@ -552,23 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand and return its exit code.
-
-    The cyclic garbage collector is off meanwhile: graphs, certificates and
-    reports hold no reference cycles, so reference counting frees them,
-    and each collection would only traverse the growing graph again.  The
-    caller's collector state is restored on return.
-    """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _dispatch(argv)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _dispatch(argv: list[str] | None) -> int:
+    """Run one subcommand and return its exit code."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

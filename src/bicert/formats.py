@@ -130,12 +130,11 @@ def parse_edge_list(text: str) -> Graph:
     are separated by spaces and tabs.  Any other text raises ParseError.
     """
     start = _edge_lines_start(text, _EDGE_LIST_LAYOUT)
-    if start:
-        try:
-            return build_graph(int(text[2:start - 1]), _bulk_ids(text, start, dimacs=False),
-                               flat=True)
-        except (ValueError, OverflowError):  # an id or count JSON, int() or the build refuses
-            pass
+    try:  # a vertex count over the cap is not decoded: the walk refuses it at line 1
+        if start and (n := int(text[2:start - 1])) <= MAX_VERTICES:
+            return build_graph(n, _bulk_ids(text, start, dimacs=False), flat=True)
+    except (ValueError, OverflowError):  # an id or count JSON, int() or the build refuses
+        pass
     # the line walk reads any other text and names the line of any error
     return _walk_edge_list(text)
 
@@ -202,7 +201,7 @@ def parse_dimacs(text: str) -> Graph:
     if start:
         try:
             n, m = map(int, text[7:start - 1].split(" "))
-            if text.count("\n", start) == m:
+            if text.count("\n", start) == m and n <= MAX_VERTICES:
                 return build_graph(n, _bulk_ids(text, start, dimacs=True), flat=True)
         except (ValueError, OverflowError):  # an id or count JSON, int() or the build refuses
             pass

@@ -90,14 +90,14 @@ def _random(spec: GenSpec, rng: SplitMix64) -> Graph:
                 if rng.random() < spec.p:
                     ids += u, v
     else:
-        seen: set[tuple[int, int]] = set()
+        seen: set[int] = set()  # u * n + v, u <= v: ints, unlike tuples, are not tracked by gc
         while len(ids) < 2 * spec.m:
             u = rng.below(n)
             v = rng.below(n)
             if u == v and not spec.allow_loops:
                 continue
             if not spec.allow_multi:
-                key = (u, v) if u <= v else (v, u)
+                key = u * n + v if u <= v else v * n + u
                 if key in seen:
                     continue
                 seen.add(key)

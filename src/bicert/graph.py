@@ -212,10 +212,11 @@ def simplify(g: Graph) -> SimplifyResult:
     the two-colorability verdict on their own.  The result has freshly dense
     edge ids; ``removed`` counts dropped duplicates.  Idempotent.
     """
-    seen: set[tuple[int, int]] = set()
+    n = g.n
+    seen: set[int] = set()  # u * n + v, u <= v: ints, unlike tuples, are not tracked by gc
     ids: list[int] = []
     for u, v in g.edges():
-        key = (u, v) if u <= v else (v, u)
+        key = u * n + v if u <= v else v * n + u
         if key not in seen:
             seen.add(key)
             ids += u, v

@@ -38,6 +38,7 @@ from bicert import (
     canonicalize_bipartition,
     connected_components,
     flip_component,
+    simplify,
     verify_outcome,
 )
 from bicert.checkers import run_instrumented
@@ -1049,7 +1050,7 @@ class TestBench:
 
 
 class TestCollector:
-    """main() runs without the cyclic collector and restores the caller's state."""
+    """main() runs with the collector as its caller left it, and leaves it so."""
 
     @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
     def collecting(self, request):
@@ -1058,13 +1059,14 @@ class TestCollector:
         yield request.param
         (gc.enable if was else gc.disable)()
 
-    @pytest.mark.parametrize("case, code", [
-        ("even", 0), ("odd", 1), ("parse-error", 2), ("usage", 2), ("internal", 3),
+    @pytest.mark.parametrize("case, code, reaches_spies", [
+        ("even", 0, True), ("odd", 1, True), ("parse-error", 2, False),
+        ("usage", 2, False), ("internal", 3, True), ("gen", 0, True), ("bench", 0, True),
     ])
-    def test_state_is_restored(self, case, code, collecting, even_file, odd_file,
-                               tmp_path, capsys, monkeypatch):
+    def test_runs_in_the_callers_state(self, case, code, reaches_spies, collecting,
+                                       even_file, odd_file, tmp_path, capsys, monkeypatch):
         seen = []
-        run = cli.run_instrumented
+        run, generate = cli.run_instrumented, cli.generate
 
         def spy(g, algorithm):
             seen.append(gc.isenabled())
@@ -1073,27 +1075,47 @@ class TestCollector:
             return run(g, algorithm)
 
         monkeypatch.setattr(cli, "run_instrumented", spy)
+        monkeypatch.setattr(cli, "generate",
+                            lambda spec: seen.append(gc.isenabled()) or generate(spec))
         bad = tmp_path / "bad.txt"
         bad.write_text("0 x\n")
         argv = {"even": ["check", even_file], "odd": ["check", odd_file],
                 "parse-error": ["check", str(bad)], "usage": ["check"],
-                "internal": ["check", even_file]}[case]
+                "internal": ["check", even_file],
+                "gen": ["gen", "--kind", "forest", "--n", "5"],
+                "bench": ["bench", "--kinds", "forest", "--sizes", "5,0", "--seeds", "1"]}[case]
         assert cli.main(argv) == code
         capsys.readouterr()
         assert gc.isenabled() is collecting
-        assert not any(seen)
+        assert set(seen) == ({collecting} if reaches_spies else set())
 
-    def test_gen_and_bench_run_without_it(self, collecting, capsys, monkeypatch):
-        seen = []
-        generate = cli.generate
-        monkeypatch.setattr(cli, "generate",
-                            lambda spec: seen.append(gc.isenabled()) or generate(spec))
-        assert cli.main(["gen", "--kind", "forest", "--n", "5"]) == 0
-        assert cli.main(["bench", "--kinds", "forest", "--sizes", "5,0",
-                         "--seeds", "1"]) == 0
-        capsys.readouterr()
-        assert seen == [False, False]
-        assert gc.isenabled() is collecting
+    @pytest.mark.parametrize("make, build", [
+        (lambda: GenSpec(kind="random", n=2000, m=20000, seed=1), generate),
+        (lambda: generate(GenSpec(kind="random", n=300, m=20000, allow_multi=True,
+                                  allow_loops=True, seed=2)), simplify),
+    ], ids=["generate", "simplify"])
+    def test_duplicate_sets_leave_the_collector_nothing(self, make, build):
+        # a set of (u, v) tuples tracks one more object per edge: 28 (generate)
+        # and 23 (simplify) collections at these thresholds
+        arg = make()
+        runs = []
+
+        def count(phase, info):
+            if phase == "start":
+                runs.append(info["generation"])
+
+        was, thresholds = gc.isenabled(), gc.get_threshold()
+        gc.set_threshold(700, 10, 10)
+        gc.enable()
+        gc.collect()  # no allocation counted before the build
+        gc.callbacks.append(count)
+        try:
+            build(arg)
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*thresholds)
+            (gc.enable if was else gc.disable)()
+        assert len(runs) <= 1
 
     @pytest.mark.parametrize("small, large", [
         (["check", "{odd}", "--json"], ["check", "{big}", "--json"]),

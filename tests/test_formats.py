@@ -396,6 +396,21 @@ class TestBulkRead:
         assert bool(formats._edge_lines_start(text, layout)) == header
         assert _outcome(parse, text) == _outcome(walk, text)
 
+    @pytest.mark.parametrize("parse, text", [
+        (parse_edge_list, f"n {MAX_VERTICES + 1}\n0 1\n"),
+        (parse_dimacs, f"p edge {MAX_VERTICES + 1} 1\ne 1 2\n"),
+    ], ids=["edge-list", "dimacs"])
+    def test_vertex_count_past_the_cap_is_refused_undecoded(self, parse, text, monkeypatch):
+        calls = []
+        bulk = formats._bulk_ids
+        monkeypatch.setattr(formats, "_bulk_ids",
+                            lambda *args, **kwargs: calls.append(args) or bulk(*args, **kwargs))
+        with pytest.raises(ParseError) as refused:
+            parse(text)
+        assert str(refused.value) == (
+            f"line 1: vertex count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}")
+        assert calls == []
+
     @given(near_writer_text(dimacs=False))
     def test_edge_list_bulk_falls_back_on_bad_counts(self, text):
         assert formats._edge_lines_start(text, formats._EDGE_LIST_LAYOUT)
